@@ -33,21 +33,18 @@ from .fields import (
     GF,
     Embedding,
     Field,
-    FieldElement,
     UnsupportedFieldError,
     embedding,
     field_from_json,
 )
 from .quantum import (
     QuantumParams,
-    construction_a,
-    construction_b,
-    construction_c,
     css_hermitian,
     css_nested,
     css_self_orthogonal,
     gv_status,
     gv_terms,
+    scan_sequence,
 )
 from .repro import run_all, run_target, target_ids
 from .semigroups import NumericalSemigroup, semigroup_from_json
@@ -59,7 +56,6 @@ __all__ = [
     "Embedding",
     "EvaluationSet",
     "Field",
-    "FieldElement",
     "LinearCode",
     "NumericalSemigroup",
     "OnePointCode",
@@ -68,9 +64,6 @@ __all__ = [
     "UnsupportedFieldError",
     "certify_duality",
     "code_from_json",
-    "construction_a",
-    "construction_b",
-    "construction_c",
     "css_hermitian",
     "css_nested",
     "css_self_orthogonal",
@@ -90,6 +83,7 @@ __all__ = [
     "relative_min_weight",
     "run_all",
     "run_target",
+    "scan_sequence",
     "self_orthogonality_range",
     "semigroup_from_json",
     "sep_variable_curve",

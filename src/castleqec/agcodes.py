@@ -279,9 +279,7 @@ def self_orthogonality_range(evset, mode="euclidean"):
     """
     F = evset.field
     if mode == "hermitian":
-        if F.k % 2:
-            raise ValueError(f"hermitian mode needs a square field order, not {F.order}")
-        conj_pow = F.pow_table(F.p ** (F.k // 2))
+        conj_pow = F.pow_table(F.sqrt_order())
     ms = evset.dimension_set()
     ms_set = set(ms)
     poles, rows = evset.basis_rows(ms[-1])

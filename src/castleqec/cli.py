@@ -10,27 +10,10 @@ import csv
 import json
 import sys
 
-import numpy as np
-
-from .agcodes import (
-    CodeSequence,
-    DualityCertificate,
-    OnePointCode,
-    certify_duality,
-    dual_distance_bound,
-    trace_code,
-)
+from .agcodes import CodeSequence, OnePointCode, certify_duality, trace_code
 from .curves import evaluation_set_from_json
 from .fields import GF, UnsupportedFieldError
-from .quantum import (
-    QuantumParams,
-    construction_a,
-    construction_b,
-    construction_c,
-    css_hermitian,
-    gv_status,
-    gv_terms,
-)
+from .quantum import gv_status, gv_terms, scan_sequence
 from . import repro
 
 GV_SHORT = {"below": "below", "meets": "meets", "exceeds": "exceeds", "not-applicable": "na"}
@@ -160,79 +143,16 @@ def cmd_reproduce(args):
     return 0 if ok else 1
 
 
-def _first_self_dual_failure(seq):
-    """Smallest pole order at which C(mQ)^perp != C(m'Q), for error reports."""
-    ev = seq.evset
-    top = ev.n + 2 * ev.curve.genus - 2
-    for i, m in enumerate(seq.ms, start=1):
-        if m > top:
-            break
-        if seq.level(i).dual() != seq.level(seq.n - i):
-            return m
-    return None
-
-
-def _scan_hermitian(seq, cert, budget=None, max_i=None):
-    ev = seq.evset
-    out = []
-    for i in range(1, (max_i or seq.n) + 1):
-        level = seq.level(i)
-        if not level <= level.hermitian_dual():
-            break
-        params = css_hermitian(level, budget)
-        out.append((i, params.with_bound(dual_distance_bound(ev, seq.pole_of_level(i), cert))))
-    return out
-
-
 def cmd_scan(args):
     ev = _load_eval_set(args.curve_file)
     seq = CodeSequence(ev)
-    cert = certify_duality(ev)
-    name = args.construction
-    if name in ("A", "B", "C") and cert.status == "unverified":
-        failing = _first_self_dual_failure(seq)
-        raise ValueError(
-            f"duality certification failed for {ev.curve.tag}: "
-            f"first non-self-dual level at m={failing}"
-        )
-    if name == "A":
-        if cert.status != "self-dual":
-            failing = _first_self_dual_failure(seq)
-            raise ValueError(
-                f"construction A needs an exactly self-dual sequence; "
-                f"{ev.curve.tag} first fails at m={failing}"
-            )
-        scanned = construction_a(seq, cert, max_i=args.max_i)
-    elif name == "B":
-        cert_b = cert
-        if cert.status == "self-dual":
-            # an exactly self-dual sequence is the twist-free case
-            cert_b = DualityCertificate("formally-self-dual", np.ones(ev.n, dtype=np.uint16))
-        scanned = construction_b(seq, cert_b, max_i=args.max_i)
-    elif name == "C":
-        scanned = construction_c(seq, cert, max_i=args.max_i)
-    else:
-        scanned = _scan_hermitian(seq, cert, max_i=args.max_i)
-
-    if name == "C":
-        q_out = ev.field.order
-    else:
-        if ev.field.k % 2:
-            raise ValueError(f"construction {name} needs a square field order, not {ev.field.order}")
-        q_out = ev.field.p ** (ev.field.k // 2)
-    rows = [{"i": 0, "m": None, **quantum_row(QuantumParams(ev.n, ev.n, 1, q_out, "exact", name))}]
-    for i, params in scanned:
-        rows.append(
-            {"i": i, "m": seq.pole_of_level(i), **quantum_row(replace_construction(params, name))}
-        )
+    scanned = scan_sequence(seq, certify_duality(ev), args.construction, max_i=args.max_i)
+    rows = [
+        {"i": i, "m": seq.pole_of_level(i) if i else None, **quantum_row(params)}
+        for i, params in scanned
+    ]
     emit_rows(rows, args.format)
     return 0
-
-
-def replace_construction(params, name):
-    from dataclasses import replace
-
-    return replace(params, construction=name)
 
 
 def cmd_gv(args):

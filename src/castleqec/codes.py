@@ -112,13 +112,7 @@ class LinearCode:
 
     def hermitian_dual(self):
         """Dual under <u, v>_H = sum u_i v_i^sqrt(q); field order must be a square."""
-        qt = self._hermitian_root()
-        return self.frobenius_power(qt).dual()
-
-    def _hermitian_root(self):
-        if self.field.k % 2 != 0:
-            raise ValueError(f"{self.field!r} is not a quadratic extension")
-        return self.field.p ** (self.field.k // 2)
+        return self.frobenius_power(self.field.sqrt_order()).dual()
 
     def star(self, x):
         """Coordinatewise scaling {x * c : c in C} by a fixed vector x."""
@@ -142,7 +136,7 @@ class LinearCode:
         if mode == "euclidean":
             other = self.matrix
         elif mode == "hermitian":
-            other = self.field.pow_table(self._hermitian_root())[self.matrix]
+            other = self.field.pow_table(self.field.sqrt_order())[self.matrix]
         else:
             raise ValueError(f"unknown orthogonality mode {mode!r}")
         return not linalg.matmul(self.field, self.matrix, other.T).any()

@@ -232,6 +232,12 @@ class Field:
             raise ValueError(f"{q0} is not a subfield order of {self!r}")
         return self.pow(a, q0)
 
+    def sqrt_order(self):
+        """sqrt(q) for a square order q: the hermitian conjugation exponent."""
+        if self.k % 2:
+            raise ValueError(f"hermitian duality needs a square field order, not {self.order}")
+        return self.p ** (self.k // 2)
+
     def is_square(self, a):
         if self.p == 2 or a == 0:
             return True
@@ -263,24 +269,6 @@ class Field:
             poly = nxt
         assert all(c < self.p for c in poly), "minimal polynomial must be prime-field valued"
         return tuple(int(c) for c in poly)
-
-    # -- element objects -----------------------------------------------------
-
-    def __call__(self, index):
-        if not 0 <= index < self.order:
-            raise ValueError(f"element index {index} out of range for {self!r}")
-        return FieldElement(self, int(index))
-
-    def elements(self):
-        return (FieldElement(self, i) for i in range(self.order))
-
-    @property
-    def zero(self):
-        return FieldElement(self, 0)
-
-    @property
-    def one(self):
-        return FieldElement(self, 1)
 
     # -- serialization -------------------------------------------------------
 
@@ -319,93 +307,6 @@ def field_from_json(obj):
             f"modulus {modulus} is not the canonical modulus {list(F.modulus)} for GF({p}^{k})"
         )
     return F
-
-
-class FieldElement:
-    """A single field element: owning field plus integer index.
-
-    Mixed-field arithmetic is rejected; move elements across fields explicitly
-    through an Embedding.
-    """
-
-    __slots__ = ("field", "index")
-
-    def __init__(self, field, index):
-        self.field = field
-        self.index = index
-
-    def _peer(self, other):
-        if not isinstance(other, FieldElement):
-            return None
-        if other.field is not self.field:
-            raise TypeError(
-                f"mixing elements of {self.field!r} and {other.field!r}; embed explicitly"
-            )
-        return other
-
-    def __add__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.index, o.index))
-
-    def __sub__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.index, o.index))
-
-    def __mul__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.index, o.index))
-
-    def __truediv__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.index, o.index))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.index))
-
-    def __pow__(self, e):
-        return FieldElement(self.field, self.field.pow(self.index, e))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and other.field is self.field
-            and other.index == self.index
-        )
-
-    def __hash__(self):
-        return hash((id(self.field), self.index))
-
-    def __bool__(self):
-        return self.index != 0
-
-    def __repr__(self):
-        return f"{self.field!r}:{self.index}"
-
-    def frobenius(self, q0=None):
-        return FieldElement(self.field, self.field.frobenius(self.index, q0))
-
-    def is_square(self):
-        return self.field.is_square(self.index)
-
-    def sqrt(self):
-        return FieldElement(self.field, self.field.sqrt(self.index))
-
-    def minimal_polynomial(self):
-        return self.field.minimal_polynomial(self.index)
-
-    def embed_into(self, big):
-        return FieldElement(big, embedding(self.field, big).embed(self.index))
-
-    def trace_to(self, small):
-        return FieldElement(small, embedding(small, self.field).trace(self.index))
 
 
 class Embedding:

@@ -1,9 +1,10 @@
 """Quantum stabilizer codes derived from classical linear codes.
 
-CSS constructions from nested or self-orthogonal pairs, the hermitian
-construction over square-order fields, the three sequence constructions on
-certified (twisted) self-dual flags, and classification against the quantum
-Gilbert-Varshamov threshold with exact integer arithmetic.
+One CSS step serves every construction: nested pairs, self-orthogonal
+codes, and hermitian self-orthogonal codes over square-order fields.  One
+scan runs it along a certified (twisted) self-dual flag for the sequence
+constructions A, B and C.  Classification against the quantum
+Gilbert-Varshamov threshold uses exact integer arithmetic.
 
 Distances are exact whenever the enumeration budget allows; otherwise the
 parameter object carries d = None and callers substitute a certified lower
@@ -45,6 +46,31 @@ class QuantumParams:
         return QuantumParams(self.n, self.k, int(bound), self.q, "lower-bound", self.construction)
 
 
+def _css(n, k, q, sides, construction, budget):
+    """The CSS step behind every construction: parameters from stabilizer pairs.
+
+    sides yields (stabilizer, normalizer) pairs, the X side first and then
+    the Z side when it differs; d is the least weight of normalizer minus
+    stabilizer over them.  A side over budget leaves d uncomputed, so the
+    sides after it are never built.  For k = 0 the convention is the minimum
+    weight of the normalizer.
+    """
+    d = None
+    for sub, sup in sides:
+        w, status = relative_min_weight(sub, sup, budget) if k else sup.min_weight(budget)
+        if status != "exact":
+            d = None
+            break
+        d = w if d is None else min(d, w)
+    return QuantumParams(n, k, d, q, "exact" if d is not None else "lower-bound", construction)
+
+
+def _nested_sides(c1, c2):
+    """(C1, C2), then (C2^perp, C1^perp), whose duals are built only if asked for."""
+    yield c1, c2
+    yield c2.dual(), c1.dual()
+
+
 def css_nested(c1, c2, budget=None, construction="css"):
     """CSS code of a nested pair C1 <= C2 over F_q: [[n, k2 - k1]]_q.
 
@@ -57,17 +83,11 @@ def css_nested(c1, c2, budget=None, construction="css"):
         raise ValueError("CSS needs nested codes")
     k = c2.dimension - c1.dimension
     if k == 0:
-        d, status = c1.dual().min_weight(budget)
+        normalizer = c1.dual()  # C2^perp = C1^perp, the only side left
+        sides = [(normalizer, normalizer)]
     else:
-        dx, sx = relative_min_weight(c1, c2, budget)
-        dz, sz = relative_min_weight(c2.dual(), c1.dual(), budget)
-        if sx == "exact" and sz == "exact":
-            d, status = min(dx, dz), "exact"
-        else:
-            d, status = None, "not-computed"
-    if status != "exact":
-        d = None
-    return QuantumParams(c1.n, k, d, c1.field.order, "exact" if d is not None else "lower-bound", construction)
+        sides = _nested_sides(c1, c2)
+    return _css(c1.n, k, c1.field.order, sides, construction, budget)
 
 
 def css_self_orthogonal(code, budget=None):
@@ -75,104 +95,100 @@ def css_self_orthogonal(code, budget=None):
     dual = code.dual()
     if not code <= dual:
         raise ValueError("code is not self-orthogonal")
-    n, k = code.n, code.dimension
-    if n == 2 * k:
-        d, status = dual.min_weight(budget)
-    else:
-        d, status = relative_min_weight(code, dual, budget)
-    if status != "exact":
-        d = None
-    return QuantumParams(n, n - 2 * k, d, code.field.order, "exact" if d is not None else "lower-bound", "css")
+    return _css(code.n, code.n - 2 * code.dimension, code.field.order, [(code, dual)], "css", budget)
 
 
-def css_hermitian(code, budget=None):
-    """Hermitian construction: C <= C^perpH over F_{q~^2} gives [[n, n-2k]]_{q~}."""
-    hdual = code.hermitian_dual()
+def css_hermitian(code, budget=None, hdual=None, construction="hermitian"):
+    """Hermitian construction: C <= C^perpH over F_{q~^2} gives [[n, n-2k]]_{q~}.
+
+    hdual, when the caller has it already, is C^perpH.
+    """
+    if hdual is None:
+        hdual = code.hermitian_dual()
     if not code <= hdual:
         raise ValueError("code is not hermitian self-orthogonal")
-    F = code.field
-    qt = F.p ** (F.k // 2)
-    n, k = code.n, code.dimension
-    if n == 2 * k:
-        d, status = hdual.min_weight(budget)
-    else:
-        d, status = relative_min_weight(code, hdual, budget)
-    if status != "exact":
-        d = None
-    return QuantumParams(n, n - 2 * k, d, qt, "exact" if d is not None else "lower-bound", "hermitian")
+    q = code.field.sqrt_order()
+    return _css(code.n, code.n - 2 * code.dimension, q, [(code, hdual)], construction, budget)
 
 
-def _hermitian_exponent(field):
-    if field.k % 2:
-        raise ValueError(f"hermitian constructions need a square field order, not {field.order}")
-    return field.p ** (field.k // 2)
-
-
-def construction_a(seq, cert, budget=None, max_i=None):
-    """Sequence construction A: hermitian codes from an exactly self-dual flag.
-
-    q(i) = min j with C_i^[q~] <= C_j; while i + q(i) <= n the level C_i is
-    hermitian self-orthogonal and yields [[n, n - 2i, >= d(C_{n-i})]]_{q~}.
-    Returns [(i, QuantumParams)] with exact d when in budget, else the
-    certified bound.
-    """
+def _first_self_dual_failure(seq):
+    """Smallest pole order at which C(mQ)^perp != C(m'Q), for error reports."""
     ev = seq.evset
-    qt = _hermitian_exponent(ev.field)
-    if cert.status != "self-dual":
-        raise ValueError("construction A needs an exactly self-dual sequence")
-    n = seq.n
-    out = []
-    j = 0
-    for i in range(1, (max_i or n) + 1):
-        frob = seq.level(i).frobenius_power(qt)
-        while j <= n and not seq.level(j).contains_code(frob):
-            j += 1
-        if i + j > n:
+    top = ev.n + 2 * ev.curve.genus - 2
+    for i, m in enumerate(seq.ms, start=1):
+        if m > top:
             break
-        params = css_hermitian(seq.level(i), budget)
-        out.append((i, params.with_bound(dual_distance_bound(ev, seq.pole_of_level(i), cert))))
-    return out
+        if seq.level(i).dual() != seq.level(seq.n - i):
+            return m
+    return None
 
 
-def construction_b(seq, cert, budget=None, max_i=None):
-    """Sequence construction B: hermitian codes from a twisted self-dual flag.
+def _twist_root(F, cert, qt):
+    """y with y^(q~+1) = x entrywise for the certified twist x, or None.
 
-    The twist x must take values in the index-(q~+1) subfield so that a root
-    y with y^(q~+1) = x exists entrywise; the twisted levels y * C_i are then
-    tested for hermitian self-orthogonality directly.
+    An exactly self-dual flag is the twist-free case and gives None.  The
+    root exists only when x takes values in the index-(q~+1) subfield.
     """
-    ev = seq.evset
-    F = ev.field
-    qt = _hermitian_exponent(F)
-    if cert.status != "formally-self-dual":
-        raise ValueError("construction B needs a twisted self-dual sequence")
+    if cert.status == "self-dual":
+        return None
     x = cert.twist
-    pow_qt = F.pow_table(qt)
-    if not (pow_qt[x] == x).all():
+    if not (F.pow_table(qt)[x] == x).all():
         raise ValueError("twist is not valued in the hermitian base field")
     y = x.copy()
     y[x != 0] = F.exp[F.log[x[x != 0]] // (qt + 1)]
-    out = []
-    for i in range(1, (max_i or seq.n) + 1):
-        twisted = seq.level(i).star(y)
-        if not twisted <= twisted.hermitian_dual():
-            break
-        params = css_hermitian(twisted, budget)
-        out.append((i, params.with_bound(dual_distance_bound(ev, seq.pole_of_level(i), cert))))
-    return out
+    return y
 
 
-def construction_c(seq, cert, budget=None, max_i=None):
-    """Sequence construction C: CSS codes over the base field itself.
+def scan_sequence(seq, cert, construction, budget=None, max_i=None):
+    """One quantum code per admissible level of a code sequence, in level order.
 
-    Scalar extension to the quadratic field fixes every C_i, so the gate is
-    2i <= n and distances are computed on the base-field pair C_i <= C_{n-i}.
+    construction picks the code at level i and the gate that ends the scan:
+      "A"          C_i from an exactly self-dual flag, while i + q(i) <= n,
+                   with q(i) the least j such that C_i^[q~] <= C_j;
+      "B"          y * C_i from a (twisted) self-dual flag, y^(q~+1) = x for
+                   the twist x, while it is hermitian self-orthogonal;
+      "hermitian"  C_i while it is hermitian self-orthogonal;
+    each giving the hermitian construction over F_{q~}, and
+      "C"          the nested pair C_i <= C_(n-i) while 2i <= n, over F_q
+                   itself (scalar extension to F_{q^2} fixes every C_i).
+    The gate of A is tested as hermitian self-orthogonality too: with
+    C_(n-i) = C_i^perp, i + q(i) <= n says C_i^[q~] <= C_i^perp, which is
+    C_i <= C_i^perpH.  Levels past max_i are not visited.  Returns
+    [(i, QuantumParams)], starting with the trivial [[n, n, 1]] code at
+    i = 0; distances are exact when in budget, else the certified lower
+    bound on d(C_i^perp).
     """
-    ev = seq.evset
-    n = seq.n
-    out = []
-    for i in range(1, min(max_i or n, n // 2) + 1):
-        params = css_nested(seq.level(i), seq.level(n - i), budget, construction="C")
+    if construction not in ("A", "B", "C", "hermitian"):
+        raise ValueError(f"unknown construction {construction!r}")
+    ev, n = seq.evset, seq.n
+    if max_i is None:
+        max_i = n
+    elif max_i < 0:
+        raise ValueError(f"max_i must be nonnegative, got {max_i}")
+    euclidean = construction == "C"
+    q = ev.field.order if euclidean else ev.field.sqrt_order()
+    if construction != "hermitian" and cert.status == "unverified":
+        raise ValueError(
+            f"duality certification failed for {ev.curve.tag}: "
+            f"first non-self-dual level at m={_first_self_dual_failure(seq)}"
+        )
+    if construction == "A" and cert.status != "self-dual":
+        raise ValueError(
+            f"construction A needs an exactly self-dual sequence; "
+            f"{ev.curve.tag} first fails at m={_first_self_dual_failure(seq)}"
+        )
+    y = _twist_root(ev.field, cert, q) if construction == "B" else None
+
+    out = [(0, QuantumParams(n, n, 1, q, "exact", construction))]
+    for i in range(1, min(max_i, n // 2 if euclidean else n) + 1):
+        level = seq.level(i) if y is None else seq.level(i).star(y)
+        if euclidean:
+            params = css_nested(level, seq.level(n - i), budget, construction)
+        else:
+            hdual = level.hermitian_dual()
+            if not level <= hdual:
+                break
+            params = css_hermitian(level, budget, hdual, construction)
         out.append((i, params.with_bound(dual_distance_bound(ev, seq.pole_of_level(i), cert))))
     return out
 

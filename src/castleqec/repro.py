@@ -46,7 +46,6 @@ from .quantum import (
 )
 
 TAG_STATUS = {"dagger": "meets", "ddagger": "exceeds"}
-GV_SHORT = {"below": "below", "meets": "meets", "exceeds": "exceeds", "not-applicable": "na"}
 
 
 @dataclass(frozen=True)

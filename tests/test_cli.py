@@ -235,6 +235,32 @@ def test_scan_is_deterministic(capsys):
     assert first == second
 
 
+def test_scan_max_i_zero_gives_only_the_trivial_row(capsys):
+    code, out, _ = run_cli(
+        capsys, "scan", "--curve-file", HERMITIAN9, "--construction", "A", "--max-i", "0"
+    )
+    assert code == 0
+    assert [r["i"] for r in json_rows(out)] == [0]
+
+
+def test_scan_hermitian_computes_each_hermitian_dual_once(capsys, monkeypatch):
+    from castleqec.codes import LinearCode
+
+    original = LinearCode.hermitian_dual
+    visited = []
+
+    def counting(self):
+        visited.append(self.dimension)
+        return original(self)
+
+    monkeypatch.setattr(LinearCode, "hermitian_dual", counting)
+    code, out, _ = run_cli(capsys, "scan", "--curve-file", HYPER45, "--construction", "hermitian")
+    assert code == 0
+    assert len(json_rows(out)) == 6
+    # levels 1-5 give rows and level 6 fails the containment gate
+    assert visited == [1, 2, 3, 4, 5, 6]
+
+
 # -- gv -----------------------------------------------------------------------
 
 
@@ -316,6 +342,24 @@ def test_scan_a_rejects_twisted_sequences(capsys):
     assert code == 2
     assert "construction A needs an exactly self-dual sequence" in err
     assert "first fails at m=0" in err
+
+
+def test_scan_negative_max_i_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "scan", "--curve-file", HERMITIAN9, "--construction", "A", "--max-i", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "nonnegative" in err
+
+
+@pytest.mark.parametrize("construction", ["A", "B", "hermitian"])
+def test_scan_hermitian_constructions_need_a_square_field(capsys, construction):
+    code, out, err = run_cli(capsys, "scan", "--curve-file", SUZUKI, "--construction", construction)
+    assert code == 2
+    assert out == ""
+    assert "square field order" in err
+    assert "Traceback" not in err
 
 
 # -- module entry point -------------------------------------------------------

@@ -9,13 +9,11 @@ from castleqec.agcodes import (
 from castleqec.fields import GF
 from castleqec.quantum import (
     QuantumParams,
-    construction_a,
-    construction_b,
-    construction_c,
     css_hermitian,
     css_nested,
     css_self_orthogonal,
     gv_status,
+    scan_sequence,
 )
 from helpers import (
     elliptic_gf4,
@@ -85,7 +83,7 @@ def test_construction_a_hermitian_gf9():
     ev = evset(hermitian_gf9)
     seq = CodeSequence(ev)
     cert = certify_duality(ev)
-    rows = construction_a(seq, cert)
+    rows = scan_sequence(seq, cert, "A")[1:]
     # levels m = 0,3,4,6,7 pass the gate; m = 8 fails it, matching the
     # directly computed hermitian self-orthogonality range
     assert [seq.pole_of_level(i) for i, _ in rows] == [0, 3, 4, 6, 7]
@@ -96,10 +94,25 @@ def test_construction_a_hermitian_gf9():
     assert [p.d for _, p in rows] == [2, 2, 3, 3, 3]
 
 
+def test_construction_a_gate_is_hermitian_self_orthogonality():
+    # on an exactly self-dual flag, i + q(i) <= n with q(i) the least j such
+    # that C_i^[q~] <= C_j says C_i <= C_i^perpH, the gate scan_sequence tests
+    for builder in (elliptic_gf4, hermitian_gf9, hyper_even_45):
+        ev = evset(builder)
+        seq = CodeSequence(ev)
+        assert certify_duality(ev).status == "self-dual"
+        n, qt = seq.n, ev.field.sqrt_order()
+        for i in range(1, n + 1):
+            level = seq.level(i)
+            frob = level.frobenius_power(qt)
+            q_i = next(j for j in range(n + 1) if seq.level(j).contains_code(frob))
+            assert (i + q_i <= n) == (level <= level.hermitian_dual())
+
+
 def test_construction_a_requires_exact_self_duality():
     ev = evset(elliptic_gf9, fibration="y")
     with pytest.raises(ValueError, match="self-dual"):
-        construction_a(CodeSequence(ev), certify_duality(ev))
+        scan_sequence(CodeSequence(ev), certify_duality(ev), "A")
 
 
 def test_construction_b_twisted_gf9():
@@ -112,7 +125,7 @@ def test_construction_b_twisted_gf9():
     F = ev.field
     x = cert.twist
     assert (F.pow_table(3)[x] == x).all()
-    rows = construction_b(seq, cert)
+    rows = scan_sequence(seq, cert, "B")[1:]
     assert [i for i, _ in rows] == [1, 2, 3, 4, 5, 6, 7]
     for i, p in rows:
         assert (p.n, p.k, p.q) == (18, 18 - 2 * i, 3)
@@ -124,7 +137,7 @@ def test_construction_b_elliptic_gf9():
     ev = evset(elliptic_gf9, fibration="y")
     seq = CodeSequence(ev)
     cert = certify_duality(ev)
-    rows = construction_b(seq, cert)
+    rows = scan_sequence(seq, cert, "B")[1:]
     assert [(i, p.n, p.k, p.d, p.q) for i, p in rows] == [
         (1, 15, 13, 2, 3),
         (2, 15, 11, 2, 3),
@@ -135,19 +148,19 @@ def test_construction_b_elliptic_gf9():
 def test_construction_b_rejects_unsuitable_twists():
     ev = evset(suzuki8)
     seq = CodeSequence(ev)
-    with pytest.raises(ValueError):
-        construction_b(seq, certify_duality(ev))  # self-dual, not twisted
+    with pytest.raises(ValueError, match="square"):
+        scan_sequence(seq, certify_duality(ev), "B")  # GF(8) is not a square
     # the x-fibration twist takes values outside GF(3), so no root exists
     ev9 = evset(elliptic_gf9, fibration="x")
     with pytest.raises(ValueError, match="valued"):
-        construction_b(CodeSequence(ev9), certify_duality(ev9))
+        scan_sequence(CodeSequence(ev9), certify_duality(ev9), "B")
 
 
 def test_construction_c_suzuki():
     ev = evset(suzuki8)
     seq = CodeSequence(ev)
     cert = certify_duality(ev)
-    rows = dict(construction_c(seq, cert, max_i=14))
+    rows = dict(scan_sequence(seq, cert, "C", max_i=14))
     # at i=5 the exact relative weight is 4, one better than the order bound 3
     # (no weight-3 triple of evaluation columns is dependent)
     exact = {1: 2, 5: 4, 6: 4}
