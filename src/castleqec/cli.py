@@ -12,7 +12,7 @@ import sys
 
 from .agcodes import CodeSequence, OnePointCode, certify_duality, trace_code
 from .curves import evaluation_set_from_json
-from .fields import GF, UnsupportedFieldError
+from .fields import GF, UnsupportedFieldError, prime_power
 from .quantum import gv_status, gv_terms, scan_sequence
 from . import repro
 
@@ -156,6 +156,9 @@ def cmd_scan(args):
 
 
 def cmd_gv(args):
+    prime_power(args.q)  # raises UnsupportedFieldError (exit 3) unless GF(q) exists here
+    if not 1 <= args.d <= args.n + 1:
+        raise ValueError(f"--d must lie in [1, n + 1] = [1, {args.n + 1}], got {args.d}")
     status, _ = gv_status(args.n, args.k, args.d, args.q)
     lhs, rhs = gv_terms(args.n, args.k, args.d, args.q)
     print(f"[[{args.n},{args.k},{args.d}]]_{args.q}: {status}")

@@ -9,16 +9,17 @@ transform in unbounded integers.  Nothing is ever estimated.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 
 import numpy as np
 
-from . import linalg
+from . import kernels, linalg
 from .fields import embedding
-from .kernels import enumerate_weights
 
 DEFAULT_BUDGET = 1 << 24
+MEMO_CODES = 128  # weight distributions kept, least recently used dropped first
 
 
 def work_budget():
@@ -252,12 +253,11 @@ class _Weights:
         self.mode = None
         if q ** k <= budget:
             self.mode = "direct"
-            self.vec = [int(c) for c in enumerate_weights(code.field, code.matrix)]
+            self.vec = _enumerated(code)
         elif q ** (n - k) <= budget:
             self.mode = "mac"
-            dual = code.dual()
-            self.dual_counts = [int(c) for c in enumerate_weights(code.field, dual.matrix)]
-            self.dual_size = q ** dual.dimension
+            self.dual_counts = _enumerated_dual(code)
+            self.dual_size = q ** (n - k)
             self.cache = {}
 
     def coeff(self, j):
@@ -268,6 +268,22 @@ class _Weights:
                 self.n, self.q, self.dual_counts, self.dual_size, j
             )
         return self.cache[j]
+
+
+@functools.lru_cache(maxsize=MEMO_CODES)
+def _enumerated(code):
+    """Weight counts of code, memoized on the canonical code (LinearCode hashes its RREF).
+
+    A code met again, e.g. C_i^perp = C_(n-i) on a self-dual flag, costs
+    neither a dual nor an enumeration.  Tuples keep the counts immutable.
+    """
+    return tuple(int(c) for c in kernels.enumerate_weights(code.field, code.matrix))
+
+
+@functools.lru_cache(maxsize=MEMO_CODES)
+def _enumerated_dual(code):
+    """Weight counts of code's dual; a hit skips the dual's RREF too."""
+    return _enumerated(code.dual())
 
 
 def krawtchouk(n, q, j, i):

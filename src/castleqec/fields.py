@@ -39,7 +39,7 @@ def _factor(n):
     return out
 
 
-def _prime_power(q):
+def prime_power(q):
     """Split q into (p, k) with q = p^k, p prime; gate on MAX_ORDER."""
     if not isinstance(q, int) or q < 2:
         raise UnsupportedFieldError(f"field order must be an integer >= 2, got {q!r}")
@@ -219,7 +219,7 @@ class Field:
     def is_subfield_order(self, q0):
         """True iff GF(q0) sits inside this field: q0 = p^j with j | k."""
         try:
-            p0, j = _prime_power(q0)
+            p0, j = prime_power(q0)
         except UnsupportedFieldError:
             return False
         return p0 == self.p and self.k % j == 0
@@ -284,7 +284,7 @@ _FIELDS = {}
 
 def GF(q):
     """The field of order q (cached; field identity is object identity)."""
-    p, k = _prime_power(q)
+    p, k = prime_power(q)
     if q not in _FIELDS:
         _FIELDS[q] = Field(p, k)
     return _FIELDS[q]

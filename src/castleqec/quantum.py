@@ -98,17 +98,13 @@ def css_self_orthogonal(code, budget=None):
     return _css(code.n, code.n - 2 * code.dimension, code.field.order, [(code, dual)], "css", budget)
 
 
-def css_hermitian(code, budget=None, hdual=None, construction="hermitian"):
-    """Hermitian construction: C <= C^perpH over F_{q~^2} gives [[n, n-2k]]_{q~}.
-
-    hdual, when the caller has it already, is C^perpH.
-    """
-    if hdual is None:
-        hdual = code.hermitian_dual()
+def css_hermitian(code, budget=None):
+    """Hermitian construction: C <= C^perpH over F_{q~^2} gives [[n, n-2k]]_{q~}."""
+    hdual = code.hermitian_dual()
     if not code <= hdual:
         raise ValueError("code is not hermitian self-orthogonal")
     q = code.field.sqrt_order()
-    return _css(code.n, code.n - 2 * code.dimension, q, [(code, hdual)], construction, budget)
+    return _css(code.n, code.n - 2 * code.dimension, q, [(code, hdual)], "hermitian", budget)
 
 
 def _first_self_dual_failure(seq):
@@ -188,7 +184,7 @@ def scan_sequence(seq, cert, construction, budget=None, max_i=None):
             hdual = level.hermitian_dual()
             if not level <= hdual:
                 break
-            params = css_hermitian(level, budget, hdual, construction)
+            params = _css(n, n - 2 * level.dimension, q, [(level, hdual)], construction, budget)
         out.append((i, params.with_bound(dual_distance_bound(ev, seq.pole_of_level(i), cert))))
     return out
 

@@ -1,5 +1,6 @@
 """Curve builders and small utilities shared across the test suite."""
 
+from castleqec import codes, kernels
 from castleqec.codes import LinearCode
 from castleqec.curves import (
     EvaluationSet,
@@ -74,3 +75,18 @@ def evset(builder, **kwargs):
 def random_code(rng, q, k, n):
     rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
     return LinearCode(GF(q), n, rows)
+
+
+def count_enumerations(monkeypatch):
+    """Empty the weight memo; returns the list of G shapes the engine is given from now on."""
+    codes._enumerated.cache_clear()
+    codes._enumerated_dual.cache_clear()
+    seen = []
+    original = kernels.enumerate_weights
+
+    def counting(field, G):
+        seen.append(G.shape)
+        return original(field, G)
+
+    monkeypatch.setattr(kernels, "enumerate_weights", counting)
+    return seen

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from castleqec import cli
+from helpers import count_enumerations
 
 CURVES = Path(__file__).resolve().parent.parent / "curves"
 SUZUKI = str(CURVES / "suzuki8.json")
@@ -261,6 +262,32 @@ def test_scan_hermitian_computes_each_hermitian_dual_once(capsys, monkeypatch):
     assert visited == [1, 2, 3, 4, 5, 6]
 
 
+def test_scan_construction_c_enumerates_each_code_once(capsys, monkeypatch):
+    seen = count_enumerations(monkeypatch)
+    code, out, _ = run_cli(
+        capsys, "scan", "--curve-file", SUZUKI, "--construction", "C", "--max-i", "6"
+    )
+    assert code == 0 and len(json_rows(out)) == 7
+    # C_i^perp = C_(n-i): the Z side and the MacWilliams side reuse C_i's counts
+    assert seen == [(i, 64) for i in range(1, 7)]
+
+
+def test_scan_hermitian_tests_each_containment_once(capsys, monkeypatch):
+    from castleqec.codes import LinearCode
+
+    original = LinearCode.contains_code
+    tested = []
+
+    def counting(self, other):
+        tested.append(other.dimension)
+        return original(self, other)
+
+    monkeypatch.setattr(LinearCode, "contains_code", counting)
+    code, out, _ = run_cli(capsys, "scan", "--curve-file", HYPER45, "--construction", "hermitian")
+    assert code == 0 and len(json_rows(out)) == 6
+    assert tested == [1, 2, 3, 4, 5, 6]
+
+
 # -- gv -----------------------------------------------------------------------
 
 
@@ -279,6 +306,26 @@ def test_gv_output(capsys, nkdq, expected):
     )
     assert code == 0
     assert out == expected
+
+
+@pytest.mark.parametrize("q", ["6", "1", "2048"])
+def test_gv_unsupported_field_exits_3(capsys, q):
+    code, out, err = run_cli(capsys, "gv", "--n", "10", "--k", "2", "--d", "3", "--q", q)
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("d", ["0", "12", "30"])
+def test_gv_distance_outside_1_to_n_plus_1_exits_2(capsys, d):
+    code, out, err = run_cli(capsys, "gv", "--n", "10", "--k", "2", "--d", d, "--q", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_gv_accepts_the_ends_of_the_distance_range(capsys):
+    for d in ("1", "11"):
+        code, _, _ = run_cli(capsys, "gv", "--n", "10", "--k", "2", "--d", d, "--q", "4")
+        assert code == 0
 
 
 # -- error paths --------------------------------------------------------------

@@ -11,7 +11,7 @@ from castleqec.codes import (
     relative_min_weight,
 )
 from castleqec.fields import GF
-from helpers import random_code
+from helpers import count_enumerations, random_code
 
 EXT_HAMMING = [
     [1, 0, 0, 0, 0, 1, 1, 1],
@@ -138,6 +138,42 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("CASTLEQEC_BUDGET", "zero")
     with pytest.raises(ValueError):
         C.min_weight()
+
+
+def test_weight_memo_skips_the_dual_and_the_enumeration(monkeypatch):
+    enumerations = count_enumerations(monkeypatch)
+    C = LinearCode(GF(2), 7, HAMMING_7_4)
+    duals = []
+    original = LinearCode.dual
+    monkeypatch.setattr(LinearCode, "dual", lambda self: duals.append(1) or original(self))
+    for _ in range(3):
+        assert C.weight_distribution(budget=8) == [1, 0, 0, 7, 7, 0, 0, 1]  # via the dual
+    assert (enumerations, len(duals)) == ([(3, 7)], 1)
+    # the [7, 3] dual was enumerated directly, so it is in the memo too
+    assert original(C).weight_distribution() == [1, 0, 0, 0, 7, 0, 0, 0]
+    assert enumerations == [(3, 7)]
+
+
+def test_weight_memo_hands_out_no_mutable_counts(monkeypatch):
+    enumerations = count_enumerations(monkeypatch)
+    C = LinearCode(GF(2), 8, EXT_HAMMING)
+    first = C.weight_distribution()
+    first[0] = 99
+    with pytest.raises(TypeError):
+        C.weights().vec[4] = 0
+    assert C.weight_distribution() == [1, 0, 0, 0, 14, 0, 0, 0, 1]
+    assert len(enumerations) == 1
+
+
+def test_budget_counts_codewords_not_visited_words(monkeypatch):
+    enumerations = count_enumerations(monkeypatch)
+    # the engine visits (4^3 - 1)/3 = 21 words, but the budget is q^k = 64
+    rng = random.Random(7)
+    C = random_code(rng, 4, 3, 6)
+    assert C.dimension == 3
+    assert C.weights(budget=21) is None and C.weights(budget=63) is None
+    assert C.weights(budget=64).mode == "direct"
+    assert enumerations == [(3, 6)]
 
 
 def test_relative_min_weight():

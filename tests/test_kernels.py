@@ -1,17 +1,12 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
-from castleqec import _kernels_py
 from castleqec.fields import GF
-from castleqec.kernels import BACKEND, enumerate_weights, scalar_multiple_rows
-
-try:
-    from castleqec import _accel
-except ImportError:  # extension not built in this environment
-    _accel = None
+from castleqec.kernels import enumerate_weights
 
 
 def random_generator(rng, q, k, n):
@@ -19,8 +14,26 @@ def random_generator(rng, q, k, n):
     return np.array(flat, dtype=np.uint16).reshape(k, n)
 
 
-def test_backend_reports_something():
-    assert BACKEND in ("compiled", "python")
+def oracle(F, G, chunk=1 << 14):
+    """Weight histogram of c * G over every coefficient vector c, brute force."""
+    k, n = G.shape
+    counts = np.zeros(n + 1, dtype=np.int64)
+    entries = itertools.chain.from_iterable(itertools.product(range(F.order), repeat=k))
+    for start in range(0, F.order ** k, chunk):
+        size = min(chunk, F.order ** k - start)
+        coeffs = np.fromiter(entries, dtype=np.uint16, count=size * k).reshape(size, k)
+        words = np.zeros((size, n), dtype=np.uint16)
+        for j in range(k):
+            words = F.add_table[words, F.mul_table[coeffs[:, j : j + 1], G[j]]]
+        counts += np.bincount(np.count_nonzero(words, axis=1), minlength=n + 1)
+    return counts
+
+
+def assert_matches_oracle(F, G):
+    counts = enumerate_weights(F, G)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == oracle(F, G).tolist()
+    assert int(counts.sum()) == F.order ** G.shape[0]
 
 
 def test_full_space_gf2():
@@ -54,34 +67,51 @@ def test_fallback_total_count_and_symmetry(q):
         k = rng.randrange(0, 5)
         n = rng.randrange(max(k, 1), 11)
         G = random_generator(rng, q, k, n)
-        counts = _kernels_py.weight_distribution(scalar_multiple_rows(F, G), F.add_table, q)
+        counts = enumerate_weights(F, G)
         assert int(counts.sum()) == q ** k
         assert counts[0] >= 1
 
 
-@pytest.mark.skipif(_accel is None, reason="compiled extension not available")
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16])
-def test_backends_agree(q):
+def test_matches_oracle(q):
     F = GF(q)
     rng = random.Random(q * 7 + 1)
     for _ in range(12):
         k = rng.randrange(0, 5)
         n = rng.randrange(max(k, 1), 12)
-        G = random_generator(rng, q, k, n)
-        rows = scalar_multiple_rows(F, G)
-        a = _accel.weight_distribution(rows, F.add_table, q)
-        b = _kernels_py.weight_distribution(rows, F.add_table, q)
-        assert (np.asarray(a) == np.asarray(b)).all()
+        assert_matches_oracle(F, random_generator(rng, q, k, n))
 
 
-@pytest.mark.skipif(_accel is None, reason="compiled extension not available")
-def test_backends_agree_across_block_boundary():
-    # exercise the fallback's prefix odometer: q^k above its 2^16 block size
-    F = GF(4)
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_rank_deficient_matches_oracle(q):
+    # normalized weight-0 words exist, so A_0 = (q - 1) * c0 + 1, not 1
+    F = GF(q)
+    rng = random.Random(q)
+    G = random_generator(rng, q, 3, 8)
+    with_zero = np.vstack([G[:1], np.zeros((1, 8), dtype=np.uint16), G[1:]])
+    repeated = np.vstack([G, G[1:2], F.mul_table[q - 1, G[0]][None, :]])
+    for M in (with_zero, repeated, np.zeros((3, 8), dtype=np.uint16)):
+        assert_matches_oracle(F, M)
+    assert enumerate_weights(F, with_zero)[0] == q
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 130])
+def test_binary_limb_boundaries_match_oracle(n):
+    rng = random.Random(n)
+    assert_matches_oracle(GF(2), random_generator(rng, 2, 10, n))
+
+
+@pytest.mark.parametrize("k", [17, 18])
+def test_binary_gray_walk_past_the_block_matches_oracle(k):
+    # 2^16 words per block; the leading k - 16 rows are walked in Gray-code order
+    rng = random.Random(k)
+    G = random_generator(rng, 2, k, 20)
+    G[k - 1] = G[0]  # a dependency across the walk/block split
+    assert_matches_oracle(GF(2), G)
+
+
+@pytest.mark.parametrize("q, k, n", [(4, 9, 14), (3, 12, 8)])
+def test_odometer_past_the_block_matches_oracle(q, k, n):
+    # q^k above the 2^16-word block, so leading cosets run the odometer
     rng = random.Random(42)
-    G = random_generator(rng, 4, 9, 14)  # 4^9 = 262144 words
-    rows = scalar_multiple_rows(F, G)
-    a = _accel.weight_distribution(rows, F.add_table, 4)
-    b = _kernels_py.weight_distribution(rows, F.add_table, 4)
-    assert (np.asarray(a) == np.asarray(b)).all()
-    assert int(np.asarray(a).sum()) == 4 ** 9
+    assert_matches_oracle(GF(q), random_generator(rng, q, k, n))
