@@ -1,7 +1,8 @@
 """Quantum stabilizer codes from one-point algebraic-geometry codes, exactly.
 
-Everything is exact integer arithmetic over small finite fields: no floats,
-no probabilistic shortcuts.  See README.md for the CLI and the library tour.
+Everything is exact integer arithmetic over small finite fields.  There is
+no rounding, by construction: floats appear only as exact integer
+accumulators in the BLAS product.  There are no probabilistic shortcuts.  See README.md for the CLI and the library tour.
 """
 
 from .agcodes import (

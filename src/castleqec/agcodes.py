@@ -115,26 +115,24 @@ def goppa_bound(evset, m):
 class CodeSequence:
     """The complete flag C_0 < C_1 < ... < C_n with C_i = C(m_i Q).
 
-    Built in one pass: basis functions are inserted in pole order and the
-    canonical RREF is snapshotted each time the span grows.  The growth pole
-    orders are exactly the dimension set of the semigroup.
+    The basis functions in pole order that enlarge the span are the rank
+    profile of their evaluation rows, read off one rref of the transpose;
+    their poles are exactly the dimension set of the semigroup.  Levels are
+    built lazily: the accumulator inserts those n rows only up to the
+    highest level asked for, keeping the canonical RREF of each level it
+    passes.
     """
 
     def __init__(self, evset):
         self.evset = evset
         n = evset.n
         self.ms = evset.dimension_set()
-        acc = linalg.RREFAccumulator(evset.field, n)
-        snapshots = [acc.snapshot()]
         poles, rows = evset.basis_rows(self.ms[-1])
-        grew_at = []
-        for rho, row in zip(poles, rows):
-            if acc.insert(row):
-                snapshots.append(acc.snapshot())
-                grew_at.append(rho)
-        assert grew_at == self.ms, "dimension jumps must match the semigroup's dimension set"
-        self._snapshots = snapshots
-        self._levels = {}
+        _, grew = linalg.rref(evset.field, rows.T)
+        assert [poles[j] for j in grew] == self.ms, "dimension jumps must match the semigroup's dimension set"
+        self._basis = rows[list(grew)]
+        self._acc = linalg.RREFAccumulator(evset.field, n)
+        self._levels = [LinearCode.zero(evset.field, n)]
 
     @property
     def n(self):
@@ -142,8 +140,10 @@ class CodeSequence:
 
     def level(self, i):
         """The i-dimensional member C_i."""
-        if i not in self._levels:
-            self._levels[i] = LinearCode(self.evset.field, self.n, self._snapshots[i])
+        acc = self._acc
+        while len(self._levels) <= i:
+            acc.insert(self._basis[acc.dimension])
+            self._levels.append(LinearCode.from_rref(acc.field, acc.n, acc.snapshot(), acc.pivots))
         return self._levels[i]
 
     def pole_of_level(self, i):
@@ -217,16 +217,11 @@ def certify_duality(evset):
     poles, rows = evset.basis_rows(top)
     limits = _dual_pair_limits(evset, poles)
 
+    constrained = np.asarray(poles)[None, :] <= np.asarray(limits)[:, None]
+
     def gram_ok(x):
         scaled = rows if x is None else F.mul_table[rows, x[None, :]]
-        G = linalg.matmul(F, scaled, rows.T)
-        for i, lim in enumerate(limits):
-            for j, rho_j in enumerate(poles):
-                if rho_j > lim:
-                    break
-                if G[i, j]:
-                    return False
-        return True
+        return not linalg.matmul(F, scaled, rows.T)[constrained].any()
 
     if gram_ok(None):
         return DualityCertificate("self-dual")
@@ -278,22 +273,13 @@ def self_orthogonality_range(evset, mode="euclidean"):
     None if even C(0Q) fails.
     """
     F = evset.field
-    if mode == "hermitian":
-        conj_pow = F.pow_table(F.sqrt_order())
     ms = evset.dimension_set()
-    ms_set = set(ms)
     poles, rows = evset.basis_rows(ms[-1])
-    best = None
-    kept = []
-    for rho, row in zip(poles, rows):
-        against = np.array(kept + [row], dtype=np.uint16)
-        targets = against if mode == "euclidean" else conj_pow[against]
-        if linalg.matmul(F, row[None, :], targets.T).any():
-            break
-        kept.append(row)
-        if rho in ms_set:
-            best = rho
-    return best
+    targets = rows if mode == "euclidean" else F.pow_table(F.sqrt_order())[rows]
+    # row j breaks orthogonality iff it pairs nonzero with itself or an earlier row
+    breaks = np.tril(linalg.matmul(F, rows, targets.T)).any(axis=1)
+    stop = int(np.argmax(breaks)) if breaks.any() else len(poles)
+    return max(set(ms).intersection(poles[:stop]), default=None)
 
 
 # -- trace descent -----------------------------------------------------------------

@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from . import kernels, linalg
-from .fields import embedding
+from .fields import embedding, field_from_json, json_int, json_ints
 
 DEFAULT_BUDGET = 1 << 24
 MEMO_CODES = 128  # weight distributions kept, least recently used dropped first
@@ -48,6 +48,14 @@ class LinearCode:
         if M.size and int(M.max()) >= field.order:
             raise ValueError(f"entry out of range for {field!r}")
         self.matrix, self.pivots = linalg.rref(field, M, n)
+
+    @classmethod
+    def from_rref(cls, field, n, R, pivots=None):
+        """The code of a matrix already in RREF, kept as it is: no elimination."""
+        code = cls.__new__(cls)
+        code.field, code.n, code.matrix = field, n, R
+        code.pivots = tuple(int(c) for c in (np.argmax(R != 0, axis=1) if pivots is None else pivots))
+        return code
 
     @classmethod
     def zero(cls, field, n):
@@ -85,8 +93,10 @@ class LinearCode:
         return not linalg.reduce_row(self.field, self.matrix, self.pivots, v).any()
 
     def contains_code(self, other):
+        """One product: other's rows V lie in this code iff V[:, P] R == V."""
         self._check_peer(other)
-        return all(self.contains_vector(row) for row in other.matrix)
+        V = other.matrix
+        return bool((linalg.matmul(self.field, V[:, list(self.pivots)], self.matrix) == V).all())
 
     def __le__(self, other):
         return other.contains_code(self)
@@ -98,7 +108,7 @@ class LinearCode:
     # -- derived codes --------------------------------------------------------
 
     def dual(self):
-        return LinearCode(self.field, self.n, linalg.kernel_basis(self.field, self.matrix, self.n))
+        return LinearCode.from_rref(self.field, self.n, linalg.kernel_basis(self.field, self.matrix, self.n))
 
     def frobenius_power(self, e):
         """The code {c^e : c in C} for e a power of the characteristic."""
@@ -108,8 +118,8 @@ class LinearCode:
             m //= p
         if m != 1:
             raise ValueError(f"{e} is not a power of the characteristic {p}")
-        P = self.field.pow_table(e)
-        return LinearCode(self.field, self.n, P[self.matrix])
+        P = self.field.pow_table(e)  # a field automorphism: it keeps the RREF shape
+        return LinearCode.from_rref(self.field, self.n, P[self.matrix], self.pivots)
 
     def hermitian_dual(self):
         """Dual under <u, v>_H = sum u_i v_i^sqrt(q); field order must be a square."""
@@ -164,7 +174,7 @@ class LinearCode:
         if H.shape[0] == 0:
             return LinearCode.full(small, self.n)
         small_rows = np.concatenate([emb.decompose_vec(h.astype(np.int64)) for h in H], axis=0)
-        return LinearCode(small, self.n, linalg.kernel_basis(small, small_rows, self.n))
+        return LinearCode.from_rref(small, self.n, linalg.kernel_basis(small, small_rows, self.n))
 
     # -- weights ---------------------------------------------------------------
 
@@ -204,16 +214,14 @@ class LinearCode:
 
 
 def code_from_json(obj):
-    from .fields import field_from_json
-
     try:
         F = field_from_json(obj["field"])
-        n = int(obj["n"])
-        gens = obj["generators"]
+        n = json_int(obj["n"], "n")
+        gens = [json_ints(row, "generator entry") for row in obj["generators"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed code descriptor") from exc
     C = LinearCode(F, n, gens)
-    if "k" in obj and int(obj["k"]) != C.dimension:
+    if "k" in obj and json_int(obj["k"], "k") != C.dimension:
         raise ValueError(f"descriptor claims dimension {obj['k']}, rows span {C.dimension}")
     return C
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
-from .fields import GF, field_from_json
+from .fields import GF, MAX_ORDER, UnsupportedFieldError, field_from_json, json_int, json_ints
 from .semigroups import NumericalSemigroup
 
 
@@ -209,8 +210,10 @@ def norm_trace_quotient(q, r, u, tag=None):
     norm-trace curve.
     """
     q, r, u = int(q), int(r), int(u)
-    if r < 2:
-        raise ValueError("need an extension degree r >= 2")
+    if q < 2 or r < 2:
+        raise ValueError("need q >= 2 and an extension degree r >= 2")
+    if q ** min(r, MAX_ORDER.bit_length()) > MAX_ORDER:  # before q^r gets huge
+        raise UnsupportedFieldError(f"field order {q}^{r} exceeds supported bound {MAX_ORDER}")
     quotient = (q ** r - 1) // (q - 1)
     if u < 1 or quotient % u:
         raise ValueError(f"u = {u} must divide (q^r - 1)/(q - 1) = {quotient}")
@@ -246,7 +249,7 @@ class EvaluationSet:
         if subset is None:
             U = [int(v) for v in np.nonzero(counts == self.fiber_size)[0]]
         else:
-            U = sorted(int(v) for v in set(subset))
+            U = sorted(operator.index(v) for v in set(subset))
             for alpha in U:
                 if not 0 <= alpha < curve.field.order:
                     raise ValueError(f"fiber value {alpha} outside {curve.field!r}")
@@ -345,28 +348,29 @@ class EvaluationSet:
 
 
 def curve_from_json(obj):
-    """Build a curve from {"family", "field", "params", "tag"?}."""
-    try:
-        family = obj["family"]
-        params = obj.get("params", {})
-    except TypeError as exc:
-        raise ValueError(f"malformed curve descriptor") from exc
-    tag = obj.get("tag")
+    """Build a curve from {"family", "field", "params", "tag"?}; its integers go through json_int."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("params", {}), dict):
+        raise ValueError("malformed curve descriptor")
+    family, params, tag = obj.get("family"), obj.get("params", {}), obj.get("tag")
+
+    def ints(*names):
+        return [json_int(params[name], name) for name in names]
 
     if family == "suzuki":
-        curve = suzuki_curve(params["q0"], tag=tag)
+        curve = suzuki_curve(*ints("q0"), tag=tag)
     elif family == "ntq":
-        curve = norm_trace_quotient(params["q"], params["r"], params["u"], tag=tag)
+        curve = norm_trace_quotient(*ints("q", "r", "u"), tag=tag)
     elif family in ("sep", "hyperodd", "hypereven"):
         if "field" not in obj:
             raise ValueError(f"family {family!r} needs an explicit field")
         field = field_from_json(obj["field"])
+        f = json_ints(params["f"], "f")
         if family == "sep":
-            curve = sep_variable_curve(field, params["f"], params["g"], tag=tag)
+            curve = sep_variable_curve(field, f, json_ints(params["g"], "g"), tag=tag)
         elif family == "hyperodd":
-            curve = hyperelliptic_odd(field, params["f"], tag=tag)
+            curve = hyperelliptic_odd(field, f, tag=tag)
         else:
-            curve = hyperelliptic_even(field, params["f"], tag=tag)
+            curve = hyperelliptic_even(field, f, tag=tag)
     else:
         raise ValueError(f"unknown curve family {family!r}")
 
@@ -382,4 +386,5 @@ def curve_from_json(obj):
 def evaluation_set_from_json(obj):
     """Curve descriptor plus optional "fibration" and "subset" keys."""
     curve = curve_from_json(obj)
-    return EvaluationSet(curve, fibration=obj.get("fibration"), subset=obj.get("subset"))
+    subset = None if obj.get("subset") is None else json_ints(obj["subset"], "subset")
+    return EvaluationSet(curve, fibration=obj.get("fibration"), subset=subset)

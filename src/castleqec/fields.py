@@ -290,17 +290,33 @@ def GF(q):
     return _FIELDS[q]
 
 
+def json_int(value, what):
+    """A descriptor integer: a JSON int, never a bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_ints(values, what):
+    """A descriptor list of integers, each checked by json_int."""
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list of integers, got {values!r}")
+    return [json_int(v, what) for v in values]
+
+
 def field_from_json(obj):
     """Rebuild a field from its JSON descriptor, validating the canonical modulus."""
     try:
-        p, k = int(obj["p"]), int(obj["k"])
-        modulus = None if "modulus" not in obj else [int(c) for c in obj["modulus"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        p, k = json_int(obj["p"], "p"), json_int(obj["k"], "k")
+        modulus = None if "modulus" not in obj else json_ints(obj["modulus"], "modulus")
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed field descriptor: {obj!r}") from exc
-    if _factor(p) != {p: 1}:
-        raise UnsupportedFieldError(f"{p} is not prime")
     if k < 1:
         raise UnsupportedFieldError(f"extension degree must be >= 1, got {k}")
+    if p ** min(k, MAX_ORDER.bit_length()) > MAX_ORDER:  # before factoring p
+        raise UnsupportedFieldError(f"field order {p}^{k} exceeds supported bound {MAX_ORDER}")
+    if _factor(p) != {p: 1}:
+        raise UnsupportedFieldError(f"{p} is not prime")
     F = GF(p ** k)
     if modulus is not None and tuple(modulus) != F.modulus:
         raise ValueError(
@@ -352,25 +368,17 @@ class Embedding:
         back[fwd] = np.arange(q0, dtype=np.int32)
         self._back = back
 
-        # GF(p)-change-of-basis for decomposition over {alpha^j} x {X^u}
-        p, k, k0, r = big.p, big.k, small.k, self.ratio
-        alpha = big.primitive
-        cols = np.zeros((k, k), dtype=np.int64)
-        digit_pows = [p ** i for i in range(k)]
-        for j in range(r):
-            aj = big.pow(alpha, j)
-            for u in range(k0):
-                e = big.mul(int(fwd[p ** u]), aj)
-                cols[:, j * k0 + u] = [(e // w) % p for w in digit_pows]
-        self._basis_inv = _modp_inverse(cols, p)
-        self._digit_pows_big = np.array(digit_pows, dtype=np.int64)
-        self._digit_pows_small = np.array([p ** i for i in range(k0)], dtype=np.int64)
+        # coordinates over the small field in the basis {alpha^j}: evaluate all
+        # q0^r = q coordinate vectors once and invert the bijection by indexing
+        coords = np.array(list(itertools.product(range(q0), repeat=self.ratio)), dtype=np.uint16)
+        elems = np.zeros(q, dtype=np.uint16)
+        for j in range(self.ratio):
+            elems = big.add_table[elems, big.mul_table[fwd[coords[:, j]], big.pow(big.primitive, j)]]
+        self._coords = np.zeros((q, self.ratio), dtype=np.uint16)
+        self._coords[elems] = coords
 
     def embed(self, x):
         return int(self.fwd[x])
-
-    def embed_vec(self, arr):
-        return self.fwd[arr]
 
     def in_image(self, x):
         return self._back[x] >= 0
@@ -411,34 +419,10 @@ class Embedding:
 
     def decompose_vec(self, arr):
         """Coordinates over the small field in basis {alpha^j}: shape (ratio, len(arr))."""
-        p = self.big.p
-        arr = np.asarray(arr, dtype=np.int64)
-        digits = (arr[:, None] // self._digit_pows_big[None, :]) % p  # (N, k)
-        coeffs = (digits @ self._basis_inv.T) % p  # (N, k)
-        k0, r = self.small.k, self.ratio
-        out = np.zeros((r, len(arr)), dtype=np.uint16)
-        for j in range(r):
-            out[j] = coeffs[:, j * k0:(j + 1) * k0] @ self._digit_pows_small
-        return out
+        return self._coords[np.asarray(arr)].T
 
     def decompose(self, x):
-        return tuple(int(v) for v in self.decompose_vec(np.array([x]))[:, 0])
-
-
-def _modp_inverse(mat, p):
-    """Inverse of a square integer matrix mod p by Gauss-Jordan elimination."""
-    n = mat.shape[0]
-    a = mat % p
-    aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r, col] % p)
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] = (aug[col] * pow(int(aug[col, col]), -1, p)) % p
-        for r in range(n):
-            if r != col and aug[r, col]:
-                aug[r] = (aug[r] - aug[r, col] * aug[col]) % p
-    return aug[:, n:]
+        return tuple(int(v) for v in self._coords[x])
 
 
 _EMBEDDINGS = {}

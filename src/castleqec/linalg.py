@@ -2,12 +2,19 @@
 
 Matrices are numpy uint16 arrays of element indices; all arithmetic goes
 through the owning field's add/mul tables via fancy indexing, so everything
-stays exact.  Shapes follow the coding convention: rows are vectors.
+stays exact.  Products run in floating-point BLAS on base-p digit planes,
+used only as an exact integer accumulator.  Shapes follow the coding
+convention: rows are vectors.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+
 import numpy as np
+
+_BLOCK = 1 << 16  # entries of the right-hand digit planes held at once
 
 
 def as_matrix(rows, n=None):
@@ -25,30 +32,38 @@ def rref(field, rows, n=None):
 
     Returns (R, pivots); R[i, pivots[i]] = 1, pivot columns are zero
     elsewhere, pivots strictly increase.  This is the canonical form used for
-    code equality.
+    code equality.  A pivot row is zero left of its pivot, so each update
+    touches only the columns from the pivot on.
     """
     R = as_matrix(rows, n).copy()
     k, ncols = R.shape
-    add, mul, neg, inv = field.add_table, field.mul_table, field.neg_table, field.inv_table
+    mul, neg, inv = field.mul_table, field.neg_table, field.inv_table
     pivots = []
     r = 0
     for col in range(ncols):
         if r == k:
             break
-        nz = np.nonzero(R[r:, col])[0]
+        nz = np.flatnonzero(R[r:, col])
         if len(nz) == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             R[[r, i]] = R[[i, r]]
-        R[r] = mul[inv[R[r, col]], R[r]]
-        mask = R[:, col] != 0
-        mask[r] = False
-        if mask.any():
-            R[mask] = add[R[mask], mul[neg[R[mask, col]][:, None], R[r][None, :]]]
+        pivot_row = mul[inv[R[r, col]], R[r, col:]]
+        R[r, col:] = pivot_row
+        others = np.flatnonzero(R[:, col])
+        others = others[others != r]
+        R[others, col:] = add(field, R[others, col:], np.take(mul[neg[R[others, col]]], pivot_row, axis=1))
         pivots.append(col)
         r += 1
     return np.ascontiguousarray(R[:r]), tuple(pivots)
+
+
+def add(field, X, Y):
+    """Entrywise field sum: XOR in characteristic 2, else one flat table lookup."""
+    if field.p == 2:
+        return X ^ Y
+    return np.take(field.add_table, X.astype(np.intp) * field.order + Y)
 
 
 def rank(field, rows, n=None):
@@ -56,42 +71,73 @@ def rank(field, rows, n=None):
 
 
 def kernel_basis(field, rows, n=None):
-    """Rows spanning {v : M v^T = 0}, already in reduced echelon form."""
+    """Rows spanning {v : M v^T = 0}, already in reduced echelon form.
+
+    One elimination gives the right-to-left echelon form G of M (the rref of
+    the column-reversed matrix), with pivots P: G[j, P_j] = 1, G is zero in
+    the other columns of P and right of P_j.  The kernel's pivots are the
+    free columns f, and its row for f is e_f - sum_j G[j, f] e_(P_j), whose
+    other entries all lie right of f: the kernel's canonical RREF.
+    """
     M = as_matrix(rows, n)
     ncols = M.shape[1]
-    R, pivots = rref(field, M)
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    B = np.zeros((len(free), ncols), dtype=np.uint16)
-    neg = field.neg_table
-    for i, fc in enumerate(free):
-        B[i, fc] = 1
-        for j, pc in enumerate(pivots):
-            B[i, pc] = neg[R[j, fc]]
-    return rref(field, B, ncols)[0]
+    G, reversed_pivots = rref(field, M[:, ::-1])
+    P = ncols - 1 - np.array(reversed_pivots, dtype=np.intp)
+    free = np.setdiff1d(np.arange(ncols), P)
+    H = np.zeros((len(free), ncols), dtype=np.uint16)
+    H[np.arange(len(free)), free] = 1
+    H[:, P] = field.neg_table[G[:, ::-1][:, free].T]
+    return H
+
+
+@functools.cache
+def _digit_tables(field):
+    """digits[a, j]: coefficient of X^j in a; shifted[a, i, j]: the same for X^i a."""
+    p, k = field.p, field.k
+    weights = p ** np.arange(k)
+    digits = (np.arange(field.order)[:, None] // weights % p).astype(np.uint16)
+    x_pows = [field.pow(p, i) if i else 1 for i in range(k)]  # X^i; index p is X
+    shifted = np.stack([digits[field.mul_table[x]] for x in x_pows], axis=1)
+    return digits, shifted, weights.astype(np.uint16)
 
 
 def matmul(field, A, B):
-    """Matrix product over the field; A is (m, t), B is (t, n)."""
-    A = as_matrix(A)
-    B = as_matrix(B)
-    m, t = A.shape
-    t2, n = B.shape
-    assert t == t2, f"shape mismatch {A.shape} x {B.shape}"
-    add, mul = field.add_table, field.mul_table
-    out = np.zeros((m, n), dtype=np.uint16)
-    for i in range(t):
-        out = add[out, mul[A[:, i][:, None], B[i][None, :]]]
-    return out
+    """Matrix product over the field; A is (m, t), B is (t, n).
+
+    With A = sum_i X^i A_i over its digit planes A_i (GF(p)-valued), digit
+    j of AB is sum_i A_i D_ij mod p, where D_ij is digit plane j of X^i B.
+    So one BLAS product [A_0 .. A_(k-1)] [D_ij] gives every digit at once.
+    Its entries are integers at most k t (p-1)^2, exact in float32 below
+    2^24 and in float64 below 2^53: nothing is ever rounded.  The shifted
+    planes are built for the smaller outer side, a block of columns at a
+    time to bound the temporaries.
+    """
+    A, B = as_matrix(A), as_matrix(B)
+    assert A.shape[1] == B.shape[0], f"shape mismatch {A.shape} x {B.shape}"
+    swap = A.shape[0] < B.shape[1]
+    if swap:  # AB = (B^T A^T)^T
+        A, B = B.T, A.T
+    (m, t), n = A.shape, B.shape[1]
+    p, k = field.p, field.k
+    largest = k * t * (p - 1) ** 2
+    assert largest < 2 ** 53, "digit-plane products must stay exact in float64"
+    dtype = np.float32 if largest < 2 ** 24 else np.float64
+    digits, shifted, weights = _digit_tables(field)
+    A_planes = digits[A].transpose(0, 2, 1).reshape(m, k * t).astype(dtype)
+    out = np.empty((m, n), dtype=np.uint16)
+    step = max(1, _BLOCK // (k * k * max(t, 1)))
+    for c in range(0, n, step):
+        Bc = B[:, c : c + step]
+        D = shifted[Bc].transpose(2, 0, 3, 1).reshape(k * t, k * Bc.shape[1]).astype(dtype)
+        planes = (A_planes @ D % p).astype(np.uint16).reshape(m, k, Bc.shape[1])
+        out[:, c : c + step] = np.tensordot(weights, planes, axes=(0, 1))
+    return out.T if swap else out
 
 
 def reduce_row(field, R, pivots, v):
-    """Reduce v against an RREF basis; the result is 0 iff v is in the row space."""
-    v = np.array(v, dtype=np.uint16, copy=True)
-    add, mul, neg = field.add_table, field.mul_table, field.neg_table
-    for j, c in enumerate(pivots):
-        if v[c]:
-            v = add[v, mul[neg[v[c]], R[j]]]
-    return v
+    """Reduce v against an RREF basis: v - v[P] R, zero iff v is in the row space."""
+    v = np.asarray(v, dtype=np.uint16)
+    return add(field, v, field.neg_table[matmul(field, v[None, list(pivots)], R)[0]])
 
 
 class RREFAccumulator:
@@ -104,37 +150,33 @@ class RREFAccumulator:
     def __init__(self, field, n):
         self.field = field
         self.n = n
-        self.rows = []  # kept sorted by pivot column
+        self.rows = np.zeros((0, n), dtype=np.uint16)  # sorted by pivot column
         self.pivots = []
 
     def insert(self, v):
-        """Add one vector; returns True if it enlarged the span."""
+        """Add one vector; returns True if it enlarged the span.
+
+        Two whole-array steps: reduce v against the basis, then clear the
+        new pivot column from every row.
+        """
         f = self.field
-        add, mul, neg, inv = f.add_table, f.mul_table, f.neg_table, f.inv_table
-        v = np.array(v, dtype=np.uint16, copy=True)
+        v = np.asarray(v, dtype=np.uint16)
         assert v.shape == (self.n,)
-        for j, c in enumerate(self.pivots):
-            if v[c]:
-                v = add[v, mul[neg[v[c]], self.rows[j]]]
-        nz = np.nonzero(v)[0]
+        v = reduce_row(f, self.rows, self.pivots, v)
+        nz = np.flatnonzero(v)
         if len(nz) == 0:
             return False
         col = int(nz[0])
-        v = mul[inv[v[col]], v]
-        for j in range(len(self.rows)):
-            c = self.rows[j][col]
-            if c:
-                self.rows[j] = add[self.rows[j], mul[neg[c], v]]
-        pos = int(np.searchsorted(np.array(self.pivots + [self.n]), col))
-        self.rows.insert(pos, v)
+        v = f.mul_table[f.inv_table[v[col]], v]
+        rows = add(f, self.rows, np.take(f.mul_table[f.neg_table[self.rows[:, col]]], v, axis=1))
+        pos = bisect.bisect(self.pivots, col)
+        self.rows = np.insert(rows, pos, v, axis=0)
         self.pivots.insert(pos, col)
         return True
 
     @property
     def dimension(self):
-        return len(self.rows)
+        return len(self.pivots)
 
     def snapshot(self):
-        if not self.rows:
-            return np.zeros((0, self.n), dtype=np.uint16)
-        return np.array(self.rows, dtype=np.uint16)
+        return self.rows.copy()

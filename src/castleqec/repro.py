@@ -130,11 +130,11 @@ def check_row(row, params):
 # -- target pipelines --------------------------------------------------------
 
 
-def _row(label, n, k, d, q, tag, check, **kw):
-    return ExpectedRow(label, n, k, d, q, tag, check, **kw)
+_row = ExpectedRow
 
 
 def _suzuki8(budget):
+    """Suzuki curve over GF(8): construction C rows and binary trace rows."""
     ev = EvaluationSet(suzuki_curve(2))
     seq = CodeSequence(ev)
     cert = certify_duality(ev)
@@ -162,6 +162,7 @@ SUZUKI8_ROWS = (
 
 
 def _elliptic_gf4(budget):
+    """y^2+y=x^3 over GF(4): hermitian CSS."""
     ev = EvaluationSet(hyperelliptic_even(GF(4), [0, 0, 0, 1], tag="elliptic-gf4"))
     return [css_hermitian(OnePointCode(ev, 0).code, budget)]
 
@@ -170,6 +171,7 @@ ELLIPTIC_GF4_ROWS = (_row("hermitian CSS, m=0", 8, 6, 2, 2, "ddagger", "exact"),
 
 
 def _elliptic_gf9(budget):
+    """y^2=x^3+x over GF(9), fibration y: nested CSS pairs."""
     curve = sep_variable_curve(GF(9), [0, 0, 1], [0, 1, 0, 1], tag="elliptic-gf9")
     ev = EvaluationSet(curve, fibration="y")
     seq = CodeSequence(ev)
@@ -192,6 +194,7 @@ ELLIPTIC_GF9_ROWS = (
 
 
 def _hyper_even(budget):
+    """Even hyperelliptic y^2+y=x^u: hermitian CSS."""
     ev23 = EvaluationSet(hyperelliptic_even(GF(4), [0, 0, 0, 1], tag="elliptic-gf4"))
     ev45 = EvaluationSet(hyperelliptic_even(GF(16), [0, 0, 0, 0, 0, 1], tag="hyper-even-45"))
     return [
@@ -208,6 +211,7 @@ HYPER_EVEN_ROWS = (
 
 
 def _normtrace(budget):
+    """Norm-trace quotients (2,4,3) and (2,3,7): hermitian and euclidean CSS."""
     ntq = EvaluationSet(norm_trace_quotient(2, 4, 3))
     nt = EvaluationSet(norm_trace_quotient(2, 3, 7))
     out = [css_hermitian(OnePointCode(ntq, m).code, budget) for m in (0, 8)]
@@ -225,6 +229,7 @@ NORMTRACE_ROWS = (
 
 
 def _hermitian_trace(budget):
+    """Incomplete-trace descents of hermitian-type curves."""
     builds = (
         (hyperelliptic_even(GF(4), [0, 0, 0, 1], tag="elliptic-gf4"), 3, 2),
         (sep_variable_curve(GF(9), [0, 1, 0, 1], [0, 0, 0, 0, 1], tag="hermitian-gf9"), 4, 3),
@@ -258,6 +263,7 @@ def _maximal_rows(ev, ms, budget):
 
 
 def _maximal_q9(budget):
+    """Maximal curve over GF(81), n=243: hermitian CSS in bound mode."""
     F = GF(81)
     a = int(F.exp[5])  # a^9 + a = 0 with a nonzero
     curve = sep_variable_curve(F, [0, 1, 0, 1], [0] * 10 + [a], tag="maximal-gf81")
@@ -273,6 +279,7 @@ MAXIMAL_Q9_ROWS = (
 
 
 def _maximal_q8(budget):
+    """Maximal curve over GF(64), n=256: hermitian CSS in bound mode."""
     curve = sep_variable_curve(GF(64), [0, 1, 1, 0, 1], [0] * 9 + [1], tag="maximal-gf64")
     return _maximal_rows(EvaluationSet(curve), (0, 9, 18, 27), budget)
 
@@ -286,6 +293,7 @@ MAXIMAL_Q8_ROWS = (
 
 
 def _maximal_2_6(budget):
+    """y^2+y=x^9 over GF(64), n=128: hermitian CSS in bound mode."""
     curve = hyperelliptic_even(GF(64), [0] * 9 + [1], tag="maximal-2-6")
     return _maximal_rows(EvaluationSet(curve), (0, 9, 11, 13), budget)
 
@@ -301,68 +309,26 @@ MAXIMAL_2_6_ROWS = (
 @dataclass(frozen=True)
 class ReproTarget:
     identifier: str
-    description: str
     rows: tuple
     runner: callable
+
+    @property
+    def description(self):
+        return self.runner.__doc__
 
 
 TARGETS = {
     t.identifier: t
     for t in (
-        ReproTarget(
-            "suzuki8",
-            "Suzuki curve over GF(8): construction C rows and binary trace rows",
-            SUZUKI8_ROWS,
-            _suzuki8,
-        ),
-        ReproTarget(
-            "elliptic-gf4",
-            "y^2+y=x^3 over GF(4): hermitian CSS",
-            ELLIPTIC_GF4_ROWS,
-            _elliptic_gf4,
-        ),
-        ReproTarget(
-            "elliptic-gf9",
-            "y^2=x^3+x over GF(9), fibration y: nested CSS pairs",
-            ELLIPTIC_GF9_ROWS,
-            _elliptic_gf9,
-        ),
-        ReproTarget(
-            "hyper-even",
-            "even hyperelliptic y^2+y=x^u: hermitian CSS",
-            HYPER_EVEN_ROWS,
-            _hyper_even,
-        ),
-        ReproTarget(
-            "normtrace",
-            "norm-trace quotients (2,4,3) and (2,3,7): hermitian and euclidean CSS",
-            NORMTRACE_ROWS,
-            _normtrace,
-        ),
-        ReproTarget(
-            "hermitian-trace",
-            "incomplete-trace descents of hermitian-type curves",
-            HERMITIAN_TRACE_ROWS,
-            _hermitian_trace,
-        ),
-        ReproTarget(
-            "maximal-q8",
-            "maximal curve over GF(64), n=256: hermitian CSS in bound mode",
-            MAXIMAL_Q8_ROWS,
-            _maximal_q8,
-        ),
-        ReproTarget(
-            "maximal-q9",
-            "maximal curve over GF(81), n=243: hermitian CSS in bound mode",
-            MAXIMAL_Q9_ROWS,
-            _maximal_q9,
-        ),
-        ReproTarget(
-            "maximal-2-6",
-            "y^2+y=x^9 over GF(64), n=128: hermitian CSS in bound mode",
-            MAXIMAL_2_6_ROWS,
-            _maximal_2_6,
-        ),
+        ReproTarget("suzuki8", SUZUKI8_ROWS, _suzuki8),
+        ReproTarget("elliptic-gf4", ELLIPTIC_GF4_ROWS, _elliptic_gf4),
+        ReproTarget("elliptic-gf9", ELLIPTIC_GF9_ROWS, _elliptic_gf9),
+        ReproTarget("hyper-even", HYPER_EVEN_ROWS, _hyper_even),
+        ReproTarget("normtrace", NORMTRACE_ROWS, _normtrace),
+        ReproTarget("hermitian-trace", HERMITIAN_TRACE_ROWS, _hermitian_trace),
+        ReproTarget("maximal-q8", MAXIMAL_Q8_ROWS, _maximal_q8),
+        ReproTarget("maximal-q9", MAXIMAL_Q9_ROWS, _maximal_q9),
+        ReproTarget("maximal-2-6", MAXIMAL_2_6_ROWS, _maximal_2_6),
     )
 }
 

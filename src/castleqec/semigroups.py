@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .fields import json_int, json_ints
+
 
 class NumericalSemigroup:
     def __init__(self, generators):
@@ -143,11 +145,11 @@ class NumericalSemigroup:
 
 def semigroup_from_json(obj):
     try:
-        S = NumericalSemigroup(obj["generators"])
+        S = NumericalSemigroup(json_ints(obj["generators"], "generators"))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed semigroup descriptor") from exc
-    if "genus" in obj and int(obj["genus"]) != S.genus:
+    if "genus" in obj and json_int(obj["genus"], "genus") != S.genus:
         raise ValueError(f"descriptor claims genus {obj['genus']}, computed {S.genus}")
-    if "gaps" in obj and tuple(int(v) for v in obj["gaps"]) != S.gaps:
+    if "gaps" in obj and tuple(json_ints(obj["gaps"], "gaps")) != S.gaps:
         raise ValueError("descriptor gap set does not match the generators")
     return S

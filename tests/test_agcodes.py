@@ -1,5 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+from castleqec import linalg
 
 from castleqec.agcodes import (
     CodeSequence,
@@ -10,8 +15,11 @@ from castleqec.agcodes import (
     order_bound,
     self_orthogonality_range,
 )
-from castleqec.curves import EvaluationSet, sep_variable_curve
+from castleqec.codes import LinearCode
+from castleqec.curves import EvaluationSet, evaluation_set_from_json, sep_variable_curve
 from castleqec.fields import GF
+from castleqec.linalg import rank
+from castleqec.quantum import scan_sequence
 from helpers import (
     elliptic_gf3,
     elliptic_gf4,
@@ -62,6 +70,42 @@ def test_sequence_levels_are_onepoint_codes():
         assert seq.level_at_pole(m) == OnePointCode(ev, m).code
     # a pole between dimension jumps yields the same code as the jump below it
     assert seq.level_at_pole(8) == seq.level_at_pole(7)
+
+
+CURVE_FILES = sorted((Path(__file__).resolve().parent.parent / "curves").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CURVE_FILES, ids=lambda p: p.stem)
+def test_sequence_levels_are_the_first_independent_basis_rows(path):
+    ev = evaluation_set_from_json(json.loads(path.read_text()))
+    F, n = ev.field, ev.n
+    poles, rows = ev.basis_rows(ev.dimension_set()[-1])
+    kept, kept_poles = [], []
+    for rho, row in zip(poles, rows):  # one rank test per row: the oracle
+        if rank(F, np.array(kept + [row]), n) > len(kept):
+            kept.append(row)
+            kept_poles.append(rho)
+    assert kept_poles == ev.dimension_set() and len(kept) == n
+    seq = CodeSequence(ev)
+    for i in range(n + 1):
+        assert seq.level(i) == LinearCode(F, n, np.array(kept[:i], dtype=np.uint16).reshape(i, n))
+
+
+@pytest.mark.parametrize("construction,max_i", [("hermitian", 3), ("A", 2), ("C", 0)])
+def test_a_max_i_scan_builds_no_level_above_those_it_visits(monkeypatch, construction, max_i):
+    dimensions = []
+    original = linalg.RREFAccumulator.snapshot
+
+    def recording(acc):
+        dimensions.append(acc.dimension)
+        return original(acc)
+
+    monkeypatch.setattr(linalg.RREFAccumulator, "snapshot", recording)
+    ev = evset(hermitian_gf16)
+    seq = CodeSequence(ev)
+    rows = scan_sequence(seq, certify_duality(ev), construction, budget=1, max_i=max_i)
+    assert [i for i, _ in rows] == list(range(max_i + 1))
+    assert dimensions == list(range(1, max_i + 1))  # each visited level once, nothing above
 
 
 SELF_DUAL = [

@@ -409,6 +409,63 @@ def test_scan_hermitian_constructions_need_a_square_field(capsys, construction):
     assert "Traceback" not in err
 
 
+# -- malformed descriptors ----------------------------------------------------
+
+GF9 = {"p": 3, "k": 2}
+ELLIPTIC9 = {"family": "sep", "field": GF9, "params": {"f": [0, 0, 1], "g": [0, 1, 0, 1]}, "fibration": "y"}
+MALFORMED = [
+    # (id, descriptor, exit code): each must be refused, never truncated or crashed on
+    ("suzuki-q0-list", {"family": "suzuki", "params": {"q0": [2]}}, 2),
+    ("suzuki-q0-str", {"family": "suzuki", "params": {"q0": "2"}}, 2),
+    ("suzuki-q0-float", {"family": "suzuki", "params": {"q0": 2.0}}, 2),
+    ("suzuki-q0-bool", {"family": "suzuki", "params": {"q0": True}}, 2),
+    ("suzuki-q0-not-power-of-2", {"family": "suzuki", "params": {"q0": 3}}, 2),
+    ("suzuki-q0-huge", {"family": "suzuki", "params": {"q0": 2 ** 40}}, 3),
+    ("suzuki-no-q0", {"family": "suzuki", "params": {}}, 2),
+    ("subset-float", {**ELLIPTIC9, "subset": [1.5]}, 2),
+    ("subset-str", {**ELLIPTIC9, "subset": ["1"]}, 2),
+    ("subset-bool", {**ELLIPTIC9, "subset": [True]}, 2),
+    ("subset-not-a-list", {**ELLIPTIC9, "subset": 1}, 2),
+    ("field-p-float", {**ELLIPTIC9, "field": {"p": 3.0, "k": 2}}, 2),
+    ("field-k-str", {**ELLIPTIC9, "field": {"p": 3, "k": "2"}}, 2),
+    ("field-modulus-float", {**ELLIPTIC9, "field": {**GF9, "modulus": [1, 0.0, 1]}}, 2),
+    ("field-p-huge", {**ELLIPTIC9, "field": {"p": 10 ** 30 + 57, "k": 1}}, 3),
+    ("field-k-huge", {**ELLIPTIC9, "field": {"p": 3, "k": 10 ** 9}}, 3),
+    ("poly-float", {**ELLIPTIC9, "params": {"f": [0, 0, 1.5], "g": [0, 1, 0, 1]}}, 2),
+    ("poly-not-a-list", {**ELLIPTIC9, "params": {"f": 7, "g": [0, 1, 0, 1]}}, 2),
+    ("ntq-q-1", {"family": "ntq", "params": {"q": 1, "r": 3, "u": 1}}, 2),
+    ("ntq-r-huge", {"family": "ntq", "params": {"q": 2, "r": 10 ** 9, "u": 1}}, 3),
+    ("ntq-u-float", {"family": "ntq", "params": {"q": 2, "r": 3, "u": 7.0}}, 2),
+    ("params-list", {"family": "suzuki", "params": [2]}, 2),
+    ("params-null", {"family": "suzuki", "params": None}, 2),
+    ("descriptor-list", [], 2),
+    ("descriptor-str", "suzuki", 2),
+    ("fibration-int", {**ELLIPTIC9, "fibration": 3}, 2),
+]
+
+
+@pytest.mark.parametrize("descriptor,expected", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
+def test_malformed_descriptor_is_refused(tmp_path, capsys, descriptor, expected):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(descriptor))
+    code, out, err = run_cli(capsys, "build", "--curve-file", str(path), "--m", "0")
+    assert code == expected
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_malformed_descriptor_exits_2_from_a_process(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"family": "suzuki", "params": {"q0": [2]}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "castleqec.cli", "build", "--curve-file", str(path), "--m", "0"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 # -- module entry point -------------------------------------------------------
 
 

@@ -1,8 +1,11 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
+from castleqec import linalg
+from castleqec.codes import LinearCode
 from castleqec.fields import GF
 from castleqec.linalg import RREFAccumulator, kernel_basis, matmul, rank, reduce_row, rref
 
@@ -58,13 +61,7 @@ def test_matmul_matches_scalar():
     rng = random.Random(99)
     A = random_matrix(rng, 8, 3, 4)
     B = random_matrix(rng, 8, 4, 5)
-    C = matmul(F, A, B)
-    for i in range(3):
-        for j in range(5):
-            acc = 0
-            for t in range(4):
-                acc = F.add(acc, F.mul(int(A[i, t]), int(B[t, j])))
-            assert int(C[i, j]) == acc
+    assert (matmul(F, A, B) == scalar_matmul(F, A, B)).all()
 
 
 @pytest.mark.parametrize("q", [2, 9])
@@ -82,3 +79,111 @@ def test_accumulator_matches_batch_rref(q):
         assert acc.dimension == len(pivots)
         assert (acc.snapshot() == R).all()
         assert grew == (len(pivots) != rank(F, np.array(rows[:-1]), n) if len(rows) > 1 else len(pivots) == 1)
+
+
+# -- oracles for the whole-matrix layer ------------------------------------------
+
+
+def scalar_matmul(F, A, B):
+    """The product through F.add / F.mul one entry at a time."""
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.uint16)
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            acc = 0
+            for t in range(A.shape[1]):
+                acc = F.add(acc, F.mul(int(A[i, t]), int(B[t, j])))
+            out[i, j] = acc
+    return out
+
+
+def brute_force_kernel_size(F, M, n):
+    """How many of the q^n vectors v have M v^T = 0, by table arithmetic on all of them."""
+    V = np.array(list(itertools.product(range(F.order), repeat=n)), dtype=np.uint16).reshape(-1, n)
+    zero = np.ones(len(V), dtype=bool)
+    for row in M:
+        acc = np.zeros(len(V), dtype=np.uint16)
+        for t in range(n):
+            acc = F.add_table[acc, F.mul_table[row[t], V[:, t]]]
+        zero &= acc == 0
+    return int(zero.sum())
+
+
+def kernel_cases(rng, q, n):
+    yield np.zeros((0, n), dtype=np.uint16)  # no rows: the kernel is everything
+    yield np.zeros((2, n), dtype=np.uint16)  # zero rows
+    full = random_matrix(rng, q, n, n)
+    yield full  # usually full rank
+    yield np.eye(n, dtype=np.uint16)  # full rank: the kernel is zero
+    base = random_matrix(rng, q, 2, n)
+    yield np.vstack([base, GF(q).mul_table[rng.randrange(1, q), base[0]][None, :]])  # rank deficient
+    for _ in range(4):
+        yield random_matrix(rng, q, rng.randrange(1, n + 2), n)
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 5), (4, 4), (8, 4), (9, 4), (27, 3)])
+def test_kernel_basis_matches_brute_force(q, n):
+    F = GF(q)
+    rng = random.Random(1000 + q)
+    for M in kernel_cases(rng, q, n):
+        K = kernel_basis(F, M, n)
+        assert K.shape[1] == n
+        R, pivots = rref(F, K, n)
+        assert R.shape == K.shape and (R == K).all()  # canonical already, rows independent
+        if len(K):
+            assert not matmul(F, M, K.T).any() if len(M) else True
+        assert F.order ** K.shape[0] == brute_force_kernel_size(F, M, n)
+
+
+MATMUL_FIELDS = [2, 3, 4, 5, 8, 9, 16, 25, 27, 32, 64, 81, 243, 1021, 1024]
+
+
+@pytest.mark.parametrize("q", MATMUL_FIELDS)
+def test_matmul_matches_scalar_oracle(q):
+    F = GF(q)
+    rng = random.Random(77 + q)
+    shapes = [(1, 1, 1), (3, 5, 7), (7, 5, 3), (6, 9, 6), (1, 8, 5), (5, 8, 1), (0, 3, 4), (4, 3, 0), (3, 0, 4)]
+    if q == 1021:
+        shapes.append((3, 40, 4))  # k t (p-1)^2 >= 2^24: the float64 path
+    for m, t, n in shapes:
+        A, B = random_matrix(rng, q, m, t).reshape(m, t), random_matrix(rng, q, t, n).reshape(t, n)
+        assert (matmul(F, A, B) == scalar_matmul(F, A, B)).all(), (m, t, n)
+
+
+@pytest.mark.parametrize("q", [4, 81])
+def test_matmul_column_blocks_match_scalar_oracle(monkeypatch, q):
+    F = GF(q)
+    rng = random.Random(q)
+    A, B = random_matrix(rng, q, 9, 6), random_matrix(rng, q, 6, 7)
+    monkeypatch.setattr(linalg, "_BLOCK", 1)  # one column of B at a time
+    assert (matmul(F, A, B) == scalar_matmul(F, A, B)).all()
+    assert (matmul(F, B.T, A.T) == scalar_matmul(F, B.T, A.T)).all()
+
+
+@pytest.mark.parametrize("q", [2, 3, 8, 9, 81])
+def test_contains_code_matches_contains_vector(q):
+    F = GF(q)
+    rng = random.Random(300 + q)
+    n = 7
+    for _ in range(20):
+        big = LinearCode(F, n, random_matrix(rng, q, rng.randrange(0, 6), n).reshape(-1, n))
+        picks = np.array([[rng.randrange(q) for _ in range(big.dimension)] for _ in range(3)], dtype=np.uint16)
+        sub = LinearCode(F, n, matmul(F, picks, big.matrix))
+        other = LinearCode(F, n, random_matrix(rng, q, rng.randrange(0, 4), n).reshape(-1, n))
+        for a, b in [(big, sub), (sub, big), (big, other), (other, big), (LinearCode.zero(F, n), other)]:
+            assert a.contains_code(b) == all(a.contains_vector(row) for row in b.matrix)
+        assert big.contains_code(sub)
+
+
+def test_dual_and_levels_run_no_second_elimination(monkeypatch):
+    F = GF(9)
+    rng = random.Random(4)
+    code = LinearCode(F, 8, random_matrix(rng, 9, 3, 8))
+    calls = []
+    original = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda *args: calls.append(1) or original(*args))
+    dual = code.dual()
+    assert len(calls) == 1  # the right-to-left echelon form inside kernel_basis
+    code.hermitian_dual()
+    assert len(calls) == 2  # the Frobenius image keeps its RREF
+    R, pivots = original(F, dual.matrix)
+    assert (R == dual.matrix).all() and pivots == dual.pivots

@@ -1,0 +1,50 @@
+"""Byte identity of `scan --format csv` on every curve file and construction.
+
+The digests in data/scan_digests.json pin the stdout and the exit code of
+each command at budget 1 (bound mode: the linear algebra runs, no word is
+enumerated).  Re-record them only for an intended output change:
+
+    PYTHONPATH=src python tests/test_scan_digests.py --record
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from castleqec import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).resolve().parent / "data" / "scan_digests.json"
+CONSTRUCTIONS = ("A", "B", "C", "hermitian")
+CASES = [(path.name, c) for path in sorted((ROOT / "curves").glob("*.json")) for c in CONSTRUCTIONS]
+
+
+def scan_digest(curve, construction):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["scan", "--curve-file", str(ROOT / "curves" / curve), "--construction", construction, "--format", "csv"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return {"sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(), "exit": code}, err.getvalue()
+
+
+@pytest.mark.parametrize("curve,construction", CASES)
+def test_scan_output_is_pinned(monkeypatch, curve, construction):
+    monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
+    expected = json.loads(DATA.read_text())[f"{curve}:{construction}"]
+    got, err = scan_digest(curve, construction)
+    assert got == expected
+    assert "Traceback" not in err
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    import os
+
+    os.environ["CASTLEQEC_BUDGET"] = "1"
+    table = {f"{curve}:{c}": scan_digest(curve, c)[0] for curve, c in CASES}
+    DATA.parent.mkdir(exist_ok=True)
+    DATA.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
