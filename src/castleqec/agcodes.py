@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 
 from . import linalg
-from .codes import LinearCode
+from .codes import LinearCode, OverBudget
 from .fields import embedding
 
 
@@ -49,7 +49,7 @@ class OnePointCode:
 
     def report_row(self, budget=None):
         """One JSON-friendly summary row for the build CLI."""
-        row = {
+        return {
             "curve": self.evset.curve.tag,
             "n": self.n,
             "m": self.m,
@@ -57,18 +57,21 @@ class OnePointCode:
             "abundance": self.abundance,
             "goppa": self.goppa_bound(),
             "order": self.order_bound(),
+            **report_fields(self.code, budget),
         }
-        d, status = self.code.min_weight(budget)
-        if status == "exact":
-            row["d_exact"] = d
-        herm = None
-        if self.evset.field.k % 2 == 0:
-            herm = self.code.is_self_orthogonal("hermitian")
-        row["self_orth"] = {
-            "euclidean": self.code.is_self_orthogonal("euclidean"),
-            "hermitian": herm,
-        }
-        return row
+
+
+def report_fields(code, budget=None):
+    """The closing fields of a build row: d_exact when in budget, then self_orth."""
+    row = {}
+    d, status = code.min_weight(budget)
+    if status == "exact":
+        row["d_exact"] = d
+    row["self_orth"] = {
+        "euclidean": code.is_self_orthogonal("euclidean"),
+        "hermitian": code.is_self_orthogonal("hermitian") if code.field.k % 2 == 0 else None,
+    }
+    return row
 
 
 def order_bound(evset, m):
@@ -332,7 +335,7 @@ def trace_self_orthogonal_range(evset, small):
     return best
 
 
-def incomplete_trace_search(evset, m, small):
+def incomplete_trace_search(evset, m, small, budget=None):
     """Self-orthogonal subcode of the descended code by dropping trace rows.
 
     Keeps the all-ones row and all earlier blocks; removes up to ratio-1 rows
@@ -340,13 +343,14 @@ def incomplete_trace_search(evset, m, small):
     so the most removals are tried first, each removal count in deterministic
     lexicographic order.  A candidate wins if it is self-orthogonal and its
     dual distance still equals the full descended code's.  Returns
-    (code, dropped_row_indices) or None if no subset works.
+    (code, dropped_row_indices) or None if no subset works; raises
+    OverBudget when the full descended code's dual distance is over budget.
     """
     rows, blocks = trace_rows(evset, m, small)
     full = LinearCode(small, evset.n, rows)
-    target_d, target_status = full.dual().min_weight()
+    target_d, target_status = full.dual().min_weight(budget)
     if target_status != "exact":
-        raise ValueError("full trace code's dual distance is over budget; raise CASTLEQEC_BUDGET")
+        raise OverBudget("full trace code's dual distance is over budget; raise CASTLEQEC_BUDGET")
     _, last_idxs = blocks[-1]
     r = embedding(small, evset.field).ratio
     for t in range(r - 1, -1, -1):
@@ -355,7 +359,7 @@ def incomplete_trace_search(evset, m, small):
             cand = LinearCode(small, evset.n, rows[keep])
             if not cand.is_self_orthogonal("euclidean"):
                 continue
-            d, status = cand.dual().min_weight()
+            d, status = cand.dual().min_weight(budget)
             if status == "exact" and d == target_d:
                 return cand, dropped
     return None

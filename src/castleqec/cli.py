@@ -10,7 +10,7 @@ import csv
 import json
 import sys
 
-from .agcodes import CodeSequence, OnePointCode, certify_duality, trace_code
+from .agcodes import CodeSequence, OnePointCode, certify_duality, report_fields, trace_code
 from .curves import evaluation_set_from_json
 from .fields import GF, UnsupportedFieldError, prime_power
 from .quantum import gv_status, gv_terms, scan_sequence
@@ -104,13 +104,7 @@ def cmd_build(args):
             "m": args.m,
             "trace_field": small.order,
             "k": code.dimension,
-        }
-        d, status = code.min_weight()
-        if status == "exact":
-            row["d_exact"] = d
-        row["self_orth"] = {
-            "euclidean": code.is_self_orthogonal("euclidean"),
-            "hermitian": code.is_self_orthogonal("hermitian") if small.k % 2 == 0 else None,
+            **report_fields(code),
         }
     emit_rows([row], args.format)
     return 0
@@ -132,8 +126,8 @@ def cmd_reproduce(args):
                     "check": result.row.check,
                     "expected": result.row.triple(),
                     "tag": result.row.tag or "",
-                    "computed": str(result.params),
-                    "d_provenance": result.params.d_provenance,
+                    "computed": "" if result.params is None else str(result.params),
+                    "d_provenance": "" if result.params is None else result.params.d_provenance,
                     "gv": GV_SHORT[result.gv],
                     "status": "PASS" if result.passed else "FAIL",
                     "detail": "; ".join(result.failures + result.notes),

@@ -36,6 +36,10 @@ def work_budget():
     return value
 
 
+class OverBudget(ValueError):
+    """An exact distance that a construction cannot do without is over budget."""
+
+
 class LinearCode:
     """An [n, k] linear code over a small finite field, canonically presented."""
 

@@ -304,16 +304,7 @@ class EvaluationSet:
     def phi_coefficients(self):
         """Coefficients of phi(t) = prod over U of (t - alpha): the function
         cutting out D as the fibration's totally split fibers."""
-        F = self.field
-        poly = [1]
-        for alpha in self.U:
-            nxt = [0] * (len(poly) + 1)
-            na = F.neg(alpha)
-            for i, c in enumerate(poly):
-                nxt[i + 1] = F.add(nxt[i + 1], c)
-                nxt[i] = F.add(nxt[i], F.mul(na, c))
-            poly = nxt
-        return poly
+        return self.field.poly_with_roots(self.U)
 
     def kernel_functions(self, m):
         """Basis of ker(ev) on L(mQ): phi times a basis of L((m - n)Q).

@@ -253,6 +253,18 @@ class Field:
             raise ValueError(f"element {a} of {self!r} is not a square")
         return int(self.exp[t // 2])
 
+    def poly_with_roots(self, roots):
+        """Coefficients of prod over roots c of (t - c), low degree first."""
+        poly = [1]
+        for c in roots:
+            nxt = [0] * (len(poly) + 1)
+            nc = self.neg(c)
+            for i, coef in enumerate(poly):
+                nxt[i + 1] = self.add(nxt[i + 1], coef)
+                nxt[i] = self.add(nxt[i], self.mul(nc, coef))
+            poly = nxt
+        return poly
+
     def minimal_polynomial(self, a):
         """Minimal polynomial over GF(p), as an integer tuple, low degree first."""
         conjugates = []
@@ -260,13 +272,7 @@ class Field:
         while c not in conjugates:
             conjugates.append(c)
             c = self.pow(c, self.p)
-        poly = [1]
-        for c in conjugates:
-            nxt = [0] * (len(poly) + 1)
-            for i, coef in enumerate(poly):
-                nxt[i + 1] = self.add(nxt[i + 1], coef)
-                nxt[i] = self.add(nxt[i], self.mul(self.neg_table[c], coef))
-            poly = nxt
+        poly = self.poly_with_roots(conjugates)
         assert all(c < self.p for c in poly), "minimal polynomial must be prime-field valued"
         return tuple(int(c) for c in poly)
 

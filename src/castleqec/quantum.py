@@ -3,8 +3,9 @@
 One CSS step serves every construction: nested pairs, self-orthogonal
 codes, and hermitian self-orthogonal codes over square-order fields.  One
 scan runs it along a certified (twisted) self-dual flag for the sequence
-constructions A, B and C.  Classification against the quantum
-Gilbert-Varshamov threshold uses exact integer arithmetic.
+constructions A, B and C; its per-level step, level_step, also builds every
+sequence row of the reproduction manifest.  Classification against the
+quantum Gilbert-Varshamov threshold uses exact integer arithmetic.
 
 Distances are exact whenever the enumeration budget allows; otherwise the
 parameter object carries d = None and callers substitute a certified lower
@@ -135,10 +136,13 @@ def _twist_root(F, cert, qt):
     return y
 
 
-def scan_sequence(seq, cert, construction, budget=None, max_i=None):
-    """One quantum code per admissible level of a code sequence, in level order.
+def level_step(seq, cert, construction, budget=None):
+    """The per-level step of a sequence construction.
 
-    construction picks the code at level i and the gate that ends the scan:
+    Returns step(i): the quantum code at level i, or None once the gate of
+    the construction closes.  scan_sequence runs it level by level; the
+    reproduction manifest calls it at the levels its rows list.
+    construction picks the code at level i and its gate:
       "A"          C_i from an exactly self-dual flag, while i + q(i) <= n,
                    with q(i) the least j such that C_i^[q~] <= C_j;
       "B"          y * C_i from a (twisted) self-dual flag, y^(q~+1) = x for
@@ -149,18 +153,12 @@ def scan_sequence(seq, cert, construction, budget=None, max_i=None):
                    itself (scalar extension to F_{q^2} fixes every C_i).
     The gate of A is tested as hermitian self-orthogonality too: with
     C_(n-i) = C_i^perp, i + q(i) <= n says C_i^[q~] <= C_i^perp, which is
-    C_i <= C_i^perpH.  Levels past max_i are not visited.  Returns
-    [(i, QuantumParams)], starting with the trivial [[n, n, 1]] code at
-    i = 0; distances are exact when in budget, else the certified lower
-    bound on d(C_i^perp).
+    C_i <= C_i^perpH.  step(0) is the trivial [[n, n, 1]] code.  Distances
+    are exact when in budget, else the certified lower bound on d(C_i^perp).
     """
     if construction not in ("A", "B", "C", "hermitian"):
         raise ValueError(f"unknown construction {construction!r}")
     ev, n = seq.evset, seq.n
-    if max_i is None:
-        max_i = n
-    elif max_i < 0:
-        raise ValueError(f"max_i must be nonnegative, got {max_i}")
     euclidean = construction == "C"
     q = ev.field.order if euclidean else ev.field.sqrt_order()
     if construction != "hermitian" and cert.status == "unverified":
@@ -175,17 +173,42 @@ def scan_sequence(seq, cert, construction, budget=None, max_i=None):
         )
     y = _twist_root(ev.field, cert, q) if construction == "B" else None
 
-    out = [(0, QuantumParams(n, n, 1, q, "exact", construction))]
-    for i in range(1, min(max_i, n // 2 if euclidean else n) + 1):
-        level = seq.level(i) if y is None else seq.level(i).star(y)
+    def step(i):
+        if i == 0:
+            return QuantumParams(n, n, 1, q, "exact", construction)
         if euclidean:
-            params = css_nested(level, seq.level(n - i), budget, construction)
+            if 2 * i > n:
+                return None
+            params = css_nested(seq.level(i), seq.level(n - i), budget, construction)
         else:
+            level = seq.level(i) if y is None else seq.level(i).star(y)
             hdual = level.hermitian_dual()
             if not level <= hdual:
-                break
+                return None
             params = _css(n, n - 2 * level.dimension, q, [(level, hdual)], construction, budget)
-        out.append((i, params.with_bound(dual_distance_bound(ev, seq.pole_of_level(i), cert))))
+        return params.with_bound(dual_distance_bound(ev, seq.pole_of_level(i), cert))
+
+    return step
+
+
+def scan_sequence(seq, cert, construction, budget=None, max_i=None):
+    """One quantum code per admissible level of a code sequence, in level order.
+
+    Runs level_step from i = 0 until its gate closes; levels past max_i are
+    not visited.  Returns [(i, QuantumParams)], starting with the trivial
+    [[n, n, 1]] code at i = 0.
+    """
+    if max_i is None:
+        max_i = seq.n
+    elif max_i < 0:
+        raise ValueError(f"max_i must be nonnegative, got {max_i}")
+    step = level_step(seq, cert, construction, budget)
+    out = []
+    for i in range(min(max_i, seq.n) + 1):
+        params = step(i)
+        if params is None:
+            break
+        out.append((i, params))
     return out
 
 

@@ -1,8 +1,13 @@
 """Built-in reproduction manifest: the published parameter tables as checkable rows.
 
-Each target names a curve pipeline and a list of expected [[n, k, d]]_q rows.
-Running a target rebuilds every quantum code from scratch and checks it
-against its expected row under that row's check mode:
+Each target lists its builds, (curve, construction, levels or pole orders)
+over one table of curves, and the expected [[n, k, d]]_q rows they give.
+build_rows runs construction C and the hermitian CSS through
+quantum.level_step, the per-level step of scan_sequence, and adds the two
+cases a scan does not cover: the euclidean CSS of C(mQ), and the trace and
+incomplete-trace descents.  Running a target rebuilds every quantum code
+from scratch and checks it against its expected row under that row's check
+mode:
 
   "exact"     -- the enumerated distance must equal the listed one (or the
                  recorded true value, when enumeration beats the listed d),
@@ -24,26 +29,19 @@ from .agcodes import (
     CodeSequence,
     OnePointCode,
     certify_duality,
-    dual_distance_bound,
     incomplete_trace_search,
     trace_code,
 )
+from .codes import OverBudget
 from .curves import (
     EvaluationSet,
     hyperelliptic_even,
-    hyperelliptic_odd,
     norm_trace_quotient,
     sep_variable_curve,
     suzuki_curve,
 )
 from .fields import GF
-from .quantum import (
-    QuantumParams,
-    css_hermitian,
-    css_nested,
-    css_self_orthogonal,
-    gv_status,
-)
+from .quantum import QuantumParams, css_self_orthogonal, gv_status, level_step
 
 TAG_STATUS = {"dagger": "meets", "ddagger": "exceeds"}
 
@@ -69,7 +67,7 @@ class ExpectedRow:
 @dataclass(frozen=True)
 class RowResult:
     row: ExpectedRow
-    params: QuantumParams
+    params: QuantumParams | None  # None: the row could not be built within budget
     gv: str  # recomputed status of the listed triple
     failures: tuple
     notes: tuple
@@ -127,209 +125,199 @@ def check_row(row, params):
     return RowResult(row, params, status, tuple(failures), tuple(notes))
 
 
-# -- target pipelines --------------------------------------------------------
+# -- curves and builds ---------------------------------------------------------
+
+
+def _maximal_gf81():
+    F = GF(81)
+    a = int(F.exp[5])  # a^9 + a = 0 with a nonzero
+    return sep_variable_curve(F, [0, 1, 0, 1], [0] * 10 + [a], tag="maximal-gf81")
+
+
+# every curve the manifest builds on, as the evaluation set its rows use
+CURVES = {
+    "suzuki8": lambda: EvaluationSet(suzuki_curve(2)),
+    "elliptic-gf4": lambda: EvaluationSet(hyperelliptic_even(GF(4), [0, 0, 0, 1], tag="elliptic-gf4")),
+    "elliptic-gf9": lambda: EvaluationSet(
+        sep_variable_curve(GF(9), [0, 0, 1], [0, 1, 0, 1], tag="elliptic-gf9"), fibration="y"
+    ),
+    "hyper-even-45": lambda: EvaluationSet(
+        hyperelliptic_even(GF(16), [0, 0, 0, 0, 0, 1], tag="hyper-even-45")
+    ),
+    "ntq-2-4-3": lambda: EvaluationSet(norm_trace_quotient(2, 4, 3)),
+    "norm-trace-2-3-7": lambda: EvaluationSet(norm_trace_quotient(2, 3, 7)),
+    "hermitian-gf9": lambda: EvaluationSet(
+        sep_variable_curve(GF(9), [0, 1, 0, 1], [0, 0, 0, 0, 1], tag="hermitian-gf9")
+    ),
+    "hermitian-gf16": lambda: EvaluationSet(
+        sep_variable_curve(GF(16), [0, 1, 0, 0, 1], [0] * 5 + [1], tag="hermitian-gf16")
+    ),
+    "maximal-gf64": lambda: EvaluationSet(
+        sep_variable_curve(GF(64), [0, 1, 1, 0, 1], [0] * 9 + [1], tag="maximal-gf64")
+    ),
+    "maximal-gf81": lambda: EvaluationSet(_maximal_gf81()),
+    "maximal-2-6": lambda: EvaluationSet(hyperelliptic_even(GF(64), [0] * 9 + [1], tag="maximal-2-6")),
+}
+
+
+def build_rows(builds, budget=None):
+    """The quantum codes of a list of builds, one per level or pole order, in order.
+
+    A build (curve, construction, at) names a curve of CURVES and either
+    "C" at levels i, or "hermitian", "css" (the euclidean CSS of C(mQ)),
+    "trace" (the trace code down to the prime field) or "incomplete-trace"
+    (the incomplete-trace descent to GF(q~), q~^2 = q) at pole orders m.
+    A row whose build needs an exact distance that is over budget is its
+    OverBudget error instead.
+    """
+    out = []
+    for curve, construction, at in builds:
+        ev = CURVES[curve]()
+        if construction in ("css", "trace", "incomplete-trace"):
+            out += [_descent(ev, construction, m, budget) for m in at]
+        else:
+            out += _levels(ev, construction, at, budget)
+    return out
+
+
+def _levels(ev, construction, at, budget):
+    """Rows of level_step: C at the levels at, the hermitian CSS at the pole orders at."""
+    seq = CodeSequence(ev)
+    step = level_step(seq, certify_duality(ev), construction, budget)
+    out = []
+    for i in at if construction == "C" else [seq.ms.index(m) + 1 for m in at]:
+        params = step(i)
+        if params is None:
+            raise ValueError(f"{ev.curve.tag}: level {i} fails the gate of construction {construction}")
+        out.append(params)
+    return out
+
+
+def _descent(ev, construction, m, budget):
+    """The euclidean CSS of C(mQ), or of its trace or incomplete-trace descent."""
+    if construction == "css":
+        return css_self_orthogonal(OnePointCode(ev, m).code, budget)
+    if construction == "trace":
+        code = trace_code(ev, m, GF(ev.field.p))
+    else:
+        try:
+            found = incomplete_trace_search(ev, m, GF(ev.field.sqrt_order()), budget)
+        except OverBudget as exc:
+            return exc
+        if found is None:
+            raise ValueError(f"incomplete-trace search failed on {ev.curve.tag} at m={m}")
+        code, _ = found
+    return replace(css_self_orthogonal(code, budget), construction="trace")
+
+
+# -- targets -------------------------------------------------------------------
 
 
 _row = ExpectedRow
 
 
-def _suzuki8(budget):
-    """Suzuki curve over GF(8): construction C rows and binary trace rows."""
-    ev = EvaluationSet(suzuki_curve(2))
-    seq = CodeSequence(ev)
-    cert = certify_duality(ev)
-    out = []
-    for i in (1, 5, 6, 11, 12, 13, 14):
-        p = css_nested(seq.level(i), seq.level(64 - i), budget, construction="C")
-        out.append(p.with_bound(dual_distance_bound(ev, seq.pole_of_level(i), cert)))
-    for m in (0, 10):
-        p = css_self_orthogonal(trace_code(ev, m, GF(2)), budget)
-        out.append(replace(p, construction="trace"))
-    return out
-
-
-SUZUKI8_ROWS = (
-    _row("construction C, i=1", 64, 62, 2, 8, "dagger", "exact"),
-    _row("construction C, i=5", 64, 54, 3, 8, None, "exact", d_true=4),
-    _row("construction C, i=6", 64, 52, 4, 8, "dagger", "exact"),
-    _row("construction C, i=11", 64, 42, 5, 8, None, "bound"),
-    _row("construction C, i=12", 64, 40, 6, 8, None, "bound"),
-    _row("construction C, i=13", 64, 38, 7, 8, None, "bound"),
-    _row("construction C, i=14", 64, 36, 8, 8, None, "bound"),
-    _row("binary trace, m=0", 64, 62, 2, 2, "ddagger", "exact"),
-    _row("binary trace, m=10", 64, 50, 4, 2, "ddagger", "exact"),
-)
-
-
-def _elliptic_gf4(budget):
-    """y^2+y=x^3 over GF(4): hermitian CSS."""
-    ev = EvaluationSet(hyperelliptic_even(GF(4), [0, 0, 0, 1], tag="elliptic-gf4"))
-    return [css_hermitian(OnePointCode(ev, 0).code, budget)]
-
-
-ELLIPTIC_GF4_ROWS = (_row("hermitian CSS, m=0", 8, 6, 2, 2, "ddagger", "exact"),)
-
-
-def _elliptic_gf9(budget):
-    """y^2=x^3+x over GF(9), fibration y: nested CSS pairs."""
-    curve = sep_variable_curve(GF(9), [0, 0, 1], [0, 1, 0, 1], tag="elliptic-gf9")
-    ev = EvaluationSet(curve, fibration="y")
-    seq = CodeSequence(ev)
-    cert = certify_duality(ev)
-    if cert.status == "unverified":
-        raise ValueError("elliptic-gf9 sequence failed duality certification")
-    return [
-        css_nested(seq.level(i), seq.level(15 - i), budget, construction="nested")
-        for i in (1, 4, 5, 6, 7)
-    ]
-
-
-ELLIPTIC_GF9_ROWS = (
-    _row("nested pair, i=1", 15, 13, 2, 9, "dagger", "exact"),
-    _row("nested pair, i=4", 15, 7, 4, 9, "dagger", "exact"),
-    _row("nested pair, i=5", 15, 5, 5, 9, "dagger", "exact"),
-    _row("nested pair, i=6", 15, 3, 6, 9, "dagger", "exact"),
-    _row("nested pair, i=7", 15, 1, 7, 9, None, "exact"),
-)
-
-
-def _hyper_even(budget):
-    """Even hyperelliptic y^2+y=x^u: hermitian CSS."""
-    ev23 = EvaluationSet(hyperelliptic_even(GF(4), [0, 0, 0, 1], tag="elliptic-gf4"))
-    ev45 = EvaluationSet(hyperelliptic_even(GF(16), [0, 0, 0, 0, 0, 1], tag="hyper-even-45"))
-    return [
-        css_hermitian(OnePointCode(ev, m).code, budget)
-        for ev, m in ((ev23, 0), (ev45, 0), (ev45, 5))
-    ]
-
-
-HYPER_EVEN_ROWS = (
-    _row("(q,u)=(2,3), m=0", 8, 6, 2, 2, "ddagger", "exact"),
-    _row("(q,u)=(4,5), m=0", 32, 30, 2, 4, "ddagger", "exact"),
-    _row("(q,u)=(4,5), m=5", 32, 24, 4, 4, "ddagger", "exact"),
-)
-
-
-def _normtrace(budget):
-    """Norm-trace quotients (2,4,3) and (2,3,7): hermitian and euclidean CSS."""
-    ntq = EvaluationSet(norm_trace_quotient(2, 4, 3))
-    nt = EvaluationSet(norm_trace_quotient(2, 3, 7))
-    out = [css_hermitian(OnePointCode(ntq, m).code, budget) for m in (0, 8)]
-    out += [css_self_orthogonal(OnePointCode(nt, m).code, budget) for m in (4, 7, 14)]
-    return out
-
-
-NORMTRACE_ROWS = (
-    _row("quotient (2,4,3), m=0", 32, 30, 2, 4, "ddagger", "exact"),
-    _row("quotient (2,4,3), m=8", 32, 24, 3, 4, "dagger", "exact"),
-    _row("norm-trace (2,3,7), m=4", 32, 28, 2, 8, "dagger", "exact"),
-    _row("norm-trace (2,3,7), m=7", 32, 26, 3, 8, "ddagger", "exact", gv_true="meets"),
-    _row("norm-trace (2,3,7), m=14", 32, 18, 4, 8, None, "exact"),
-)
-
-
-def _hermitian_trace(budget):
-    """Incomplete-trace descents of hermitian-type curves."""
-    builds = (
-        (hyperelliptic_even(GF(4), [0, 0, 0, 1], tag="elliptic-gf4"), 3, 2),
-        (sep_variable_curve(GF(9), [0, 1, 0, 1], [0, 0, 0, 0, 1], tag="hermitian-gf9"), 4, 3),
-        (sep_variable_curve(GF(16), [0, 1, 0, 0, 1], [0] * 5 + [1], tag="hermitian-gf16"), 5, 4),
-    )
-    out = []
-    for curve, m, small in builds:
-        found = incomplete_trace_search(EvaluationSet(curve), m, GF(small))
-        if found is None:
-            raise ValueError(f"incomplete-trace search failed on {curve.tag} at m={m}")
-        code, _ = found
-        out.append(replace(css_self_orthogonal(code, budget), construction="trace"))
-    return out
-
-
-HERMITIAN_TRACE_ROWS = (
-    _row("elliptic-gf4 trace, m=3", 8, 0, 4, 2, None, "exact"),
-    _row("hermitian-gf9 trace, m=4", 27, 19, 3, 3, "dagger", "exact"),
-    _row("hermitian-gf16 trace, m=5", 64, 56, 3, 4, "dagger", "exact"),
-)
-
-
-def _maximal_rows(ev, ms, budget):
-    seq = CodeSequence(ev)
-    cert = certify_duality(ev)
-    out = []
-    for m in ms:
-        p = css_hermitian(seq.level_at_pole(m), budget)
-        out.append(p.with_bound(dual_distance_bound(ev, m, cert)))
-    return out
-
-
-def _maximal_q9(budget):
-    """Maximal curve over GF(81), n=243: hermitian CSS in bound mode."""
-    F = GF(81)
-    a = int(F.exp[5])  # a^9 + a = 0 with a nonzero
-    curve = sep_variable_curve(F, [0, 1, 0, 1], [0] * 10 + [a], tag="maximal-gf81")
-    return _maximal_rows(EvaluationSet(curve), (0, 10, 20, 23), budget)
-
-
-MAXIMAL_Q9_ROWS = (
-    _row("hermitian CSS, m=0", 243, 241, 2, 9, "ddagger", "bound"),
-    _row("hermitian CSS, m=10", 243, 233, 3, 9, "dagger", "bound"),
-    _row("hermitian CSS, m=20", 243, 219, 6, 9, None, "bound"),
-    _row("hermitian CSS, m=23", 243, 213, 9, 9, "dagger", "bound"),
-)
-
-
-def _maximal_q8(budget):
-    """Maximal curve over GF(64), n=256: hermitian CSS in bound mode."""
-    curve = sep_variable_curve(GF(64), [0, 1, 1, 0, 1], [0] * 9 + [1], tag="maximal-gf64")
-    return _maximal_rows(EvaluationSet(curve), (0, 9, 18, 27), budget)
-
-
-MAXIMAL_Q8_ROWS = (
-    _row("hermitian CSS, m=0", 256, 254, 2, 8, "ddagger", "bound"),
-    _row("hermitian CSS, m=9", 256, 248, 3, 8, "dagger", "bound"),
-    _row("hermitian CSS, m=18", 256, 238, 4, 8, None, "bound"),
-    _row("hermitian CSS, m=27", 256, 224, 8, 8, None, "bound"),
-)
-
-
-def _maximal_2_6(budget):
-    """y^2+y=x^9 over GF(64), n=128: hermitian CSS in bound mode."""
-    curve = hyperelliptic_even(GF(64), [0] * 9 + [1], tag="maximal-2-6")
-    return _maximal_rows(EvaluationSet(curve), (0, 9, 11, 13), budget)
-
-
-MAXIMAL_2_6_ROWS = (
-    _row("hermitian CSS, m=0", 128, 126, 2, 8, "ddagger", "bound"),
-    _row("hermitian CSS, m=9", 128, 116, 4, 8, "dagger", "bound"),
-    _row("hermitian CSS, m=11", 128, 112, 6, 8, "ddagger", "bound"),
-    _row("hermitian CSS, m=13", 128, 108, 8, 8, "ddagger", "bound"),
-)
-
-
 @dataclass(frozen=True)
 class ReproTarget:
-    identifier: str
+    description: str
+    builds: tuple  # (curve, construction, levels or pole orders), see build_rows
     rows: tuple
-    runner: callable
-
-    @property
-    def description(self):
-        return self.runner.__doc__
 
 
 TARGETS = {
-    t.identifier: t
-    for t in (
-        ReproTarget("suzuki8", SUZUKI8_ROWS, _suzuki8),
-        ReproTarget("elliptic-gf4", ELLIPTIC_GF4_ROWS, _elliptic_gf4),
-        ReproTarget("elliptic-gf9", ELLIPTIC_GF9_ROWS, _elliptic_gf9),
-        ReproTarget("hyper-even", HYPER_EVEN_ROWS, _hyper_even),
-        ReproTarget("normtrace", NORMTRACE_ROWS, _normtrace),
-        ReproTarget("hermitian-trace", HERMITIAN_TRACE_ROWS, _hermitian_trace),
-        ReproTarget("maximal-q8", MAXIMAL_Q8_ROWS, _maximal_q8),
-        ReproTarget("maximal-q9", MAXIMAL_Q9_ROWS, _maximal_q9),
-        ReproTarget("maximal-2-6", MAXIMAL_2_6_ROWS, _maximal_2_6),
-    )
+    "suzuki8": ReproTarget(
+        "Suzuki curve over GF(8): construction C rows and binary trace rows.",
+        (("suzuki8", "C", (1, 5, 6, 11, 12, 13, 14)), ("suzuki8", "trace", (0, 10))),
+        (
+            _row("construction C, i=1", 64, 62, 2, 8, "dagger", "exact"),
+            _row("construction C, i=5", 64, 54, 3, 8, None, "exact", d_true=4),
+            _row("construction C, i=6", 64, 52, 4, 8, "dagger", "exact"),
+            _row("construction C, i=11", 64, 42, 5, 8, None, "bound"),
+            _row("construction C, i=12", 64, 40, 6, 8, None, "bound"),
+            _row("construction C, i=13", 64, 38, 7, 8, None, "bound"),
+            _row("construction C, i=14", 64, 36, 8, 8, None, "bound"),
+            _row("binary trace, m=0", 64, 62, 2, 2, "ddagger", "exact"),
+            _row("binary trace, m=10", 64, 50, 4, 2, "ddagger", "exact"),
+        ),
+    ),
+    "elliptic-gf4": ReproTarget(
+        "y^2+y=x^3 over GF(4): hermitian CSS.",
+        (("elliptic-gf4", "hermitian", (0,)),),
+        (_row("hermitian CSS, m=0", 8, 6, 2, 2, "ddagger", "exact"),),
+    ),
+    "elliptic-gf9": ReproTarget(
+        "y^2=x^3+x over GF(9), fibration y: nested CSS pairs.",
+        (("elliptic-gf9", "C", (1, 4, 5, 6, 7)),),
+        (
+            _row("nested pair, i=1", 15, 13, 2, 9, "dagger", "exact"),
+            _row("nested pair, i=4", 15, 7, 4, 9, "dagger", "exact"),
+            _row("nested pair, i=5", 15, 5, 5, 9, "dagger", "exact"),
+            _row("nested pair, i=6", 15, 3, 6, 9, "dagger", "exact"),
+            _row("nested pair, i=7", 15, 1, 7, 9, None, "exact"),
+        ),
+    ),
+    "hyper-even": ReproTarget(
+        "Even hyperelliptic y^2+y=x^u: hermitian CSS.",
+        (("elliptic-gf4", "hermitian", (0,)), ("hyper-even-45", "hermitian", (0, 5))),
+        (
+            _row("(q,u)=(2,3), m=0", 8, 6, 2, 2, "ddagger", "exact"),
+            _row("(q,u)=(4,5), m=0", 32, 30, 2, 4, "ddagger", "exact"),
+            _row("(q,u)=(4,5), m=5", 32, 24, 4, 4, "ddagger", "exact"),
+        ),
+    ),
+    "normtrace": ReproTarget(
+        "Norm-trace quotients (2,4,3) and (2,3,7): hermitian and euclidean CSS.",
+        (("ntq-2-4-3", "hermitian", (0, 8)), ("norm-trace-2-3-7", "css", (4, 7, 14))),
+        (
+            _row("quotient (2,4,3), m=0", 32, 30, 2, 4, "ddagger", "exact"),
+            _row("quotient (2,4,3), m=8", 32, 24, 3, 4, "dagger", "exact"),
+            _row("norm-trace (2,3,7), m=4", 32, 28, 2, 8, "dagger", "exact"),
+            _row("norm-trace (2,3,7), m=7", 32, 26, 3, 8, "ddagger", "exact", gv_true="meets"),
+            _row("norm-trace (2,3,7), m=14", 32, 18, 4, 8, None, "exact"),
+        ),
+    ),
+    "hermitian-trace": ReproTarget(
+        "Incomplete-trace descents of hermitian-type curves.",
+        (
+            ("elliptic-gf4", "incomplete-trace", (3,)),
+            ("hermitian-gf9", "incomplete-trace", (4,)),
+            ("hermitian-gf16", "incomplete-trace", (5,)),
+        ),
+        (
+            _row("elliptic-gf4 trace, m=3", 8, 0, 4, 2, None, "exact"),
+            _row("hermitian-gf9 trace, m=4", 27, 19, 3, 3, "dagger", "exact"),
+            _row("hermitian-gf16 trace, m=5", 64, 56, 3, 4, "dagger", "exact"),
+        ),
+    ),
+    "maximal-q8": ReproTarget(
+        "Maximal curve over GF(64), n=256: hermitian CSS in bound mode.",
+        (("maximal-gf64", "hermitian", (0, 9, 18, 27)),),
+        (
+            _row("hermitian CSS, m=0", 256, 254, 2, 8, "ddagger", "bound"),
+            _row("hermitian CSS, m=9", 256, 248, 3, 8, "dagger", "bound"),
+            _row("hermitian CSS, m=18", 256, 238, 4, 8, None, "bound"),
+            _row("hermitian CSS, m=27", 256, 224, 8, 8, None, "bound"),
+        ),
+    ),
+    "maximal-q9": ReproTarget(
+        "Maximal curve over GF(81), n=243: hermitian CSS in bound mode.",
+        (("maximal-gf81", "hermitian", (0, 10, 20, 23)),),
+        (
+            _row("hermitian CSS, m=0", 243, 241, 2, 9, "ddagger", "bound"),
+            _row("hermitian CSS, m=10", 243, 233, 3, 9, "dagger", "bound"),
+            _row("hermitian CSS, m=20", 243, 219, 6, 9, None, "bound"),
+            _row("hermitian CSS, m=23", 243, 213, 9, 9, "dagger", "bound"),
+        ),
+    ),
+    "maximal-2-6": ReproTarget(
+        "y^2+y=x^9 over GF(64), n=128: hermitian CSS in bound mode.",
+        (("maximal-2-6", "hermitian", (0, 9, 11, 13)),),
+        (
+            _row("hermitian CSS, m=0", 128, 126, 2, 8, "ddagger", "bound"),
+            _row("hermitian CSS, m=9", 128, 116, 4, 8, "dagger", "bound"),
+            _row("hermitian CSS, m=11", 128, 112, 6, 8, "ddagger", "bound"),
+            _row("hermitian CSS, m=13", 128, 108, 8, 8, "ddagger", "bound"),
+        ),
+    ),
 }
 
 
@@ -343,12 +331,41 @@ def run_target(identifier, budget=None):
         target = TARGETS[identifier]
     except KeyError:
         raise ValueError(f"unknown reproduction target {identifier!r}") from None
-    built = target.runner(budget)
+    built = build_rows(target.builds, budget)
     if len(built) != len(target.rows):
-        raise AssertionError(f"{identifier}: runner produced {len(built)} rows, manifest has {len(target.rows)}")
-    results = tuple(check_row(row, params) for row, params in zip(target.rows, built))
+        raise AssertionError(f"{identifier}: builds give {len(built)} rows, manifest has {len(target.rows)}")
+    results = tuple(
+        _unbuilt(row, str(params)) if isinstance(params, OverBudget) else check_row(row, params)
+        for row, params in zip(target.rows, built)
+    )
     return TargetReport(identifier, results)
+
+
+def _unbuilt(row, reason):
+    """The failed result of a row that could not be built."""
+    status, _ = gv_status(row.n, row.k, row.d, row.q)
+    return RowResult(row, None, status, (reason,), ())
 
 
 def run_all(budget=None):
     return [run_target(identifier, budget) for identifier in TARGETS]
+
+
+# -- hooks for perfbench/worker.py ---------------------------------------------
+# It runs these three runners with _maximal_rows replaced, to check that its
+# scan curve files build the evaluation sets of the maximal targets.
+
+
+def _maximal_rows(ev, poles, budget):
+    return _levels(ev, "hermitian", poles, budget)
+
+
+def _maximal_runner(identifier):
+    def runner(budget):
+        ((curve, _, poles),) = TARGETS[identifier].builds
+        return _maximal_rows(CURVES[curve](), poles, budget)
+
+    return runner
+
+
+_maximal_q8, _maximal_q9, _maximal_2_6 = map(_maximal_runner, ("maximal-q8", "maximal-q9", "maximal-2-6"))

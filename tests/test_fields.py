@@ -132,6 +132,15 @@ def test_division_errors():
         F.div(1, 0)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25])
+def test_poly_with_roots(q):
+    F = GF(q)
+    # every element is a root of t^q - t, each once
+    assert F.poly_with_roots(range(q)) == [0, F.neg(1)] + [0] * (q - 2) + [1]
+    assert F.poly_with_roots([]) == [1]
+    assert F.poly_with_roots([1, 1]) == [1, F.neg(F.add(1, 1)), 1]  # (t - 1)^2 = t^2 - 2t + 1
+
+
 def test_minimal_polynomial_examples():
     F4 = GF(4)
     # X itself generates, so its minimal polynomial is the modulus

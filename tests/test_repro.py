@@ -2,7 +2,9 @@
 
 import pytest
 
-from castleqec.quantum import QuantumParams
+from castleqec import quantum, repro
+from castleqec.agcodes import CodeSequence, certify_duality
+from castleqec.quantum import QuantumParams, scan_sequence
 from castleqec.repro import (
     TAG_STATUS,
     TARGETS,
@@ -78,6 +80,68 @@ def test_run_normtrace_notes_the_gv_discrepancy():
     assert len(flagged) == 1
     assert flagged[0].row.triple() == "[[32,26,3]]_8"
     assert flagged[0].gv == "meets"  # the listed tag claims "exceeds"
+
+
+def _row_constructions(target):
+    return [construction for _, construction, at in target.builds for _ in at]
+
+
+def test_builds_match_rows():
+    for identifier, target in TARGETS.items():
+        assert len(_row_constructions(target)) == len(target.rows), identifier
+        for curve, construction, _ in target.builds:
+            assert curve in repro.CURVES
+            assert construction in ("C", "hermitian", "css", "trace", "incomplete-trace")
+
+
+def test_sequence_rows_come_from_the_scan_step(monkeypatch):
+    """Every C and hermitian row is made by quantum.level_step, the step scan_sequence runs."""
+    assert repro.level_step is quantum.level_step
+    original, made = quantum.level_step, []
+
+    def spy(*args, **kwargs):
+        step = original(*args, **kwargs)
+
+        def recorded(i):
+            made.append(step(i))
+            return made[-1]
+
+        return recorded
+
+    monkeypatch.setattr(quantum, "level_step", spy)
+    monkeypatch.setattr(repro, "level_step", spy)
+    for identifier, target in TARGETS.items():
+        made.clear()
+        results = run_target(identifier).results
+        for construction, result in zip(_row_constructions(target), results, strict=True):
+            from_step = any(result.params is params for params in made)
+            assert from_step == (construction in ("C", "hermitian")), (identifier, result.row.label)
+    made.clear()
+    ev = repro.CURVES["elliptic-gf4"]()
+    scanned = scan_sequence(CodeSequence(ev), certify_duality(ev), "hermitian")
+    assert [params for _, params in scanned] + [None] == made  # None: the gate closed
+
+
+def test_sequence_rows_are_levels_of_the_scan():
+    for identifier in ("elliptic-gf9", "hyper-even"):
+        target = TARGETS[identifier]
+        results = iter(run_target(identifier).results)
+        for curve, construction, at in target.builds:
+            rows = [next(results).params for _ in at]
+            ev = repro.CURVES[curve]()
+            seq = CodeSequence(ev)
+            levels = at if construction == "C" else [seq.ms.index(m) + 1 for m in at]
+            scanned = dict(scan_sequence(seq, certify_duality(ev), construction, max_i=max(levels)))
+            assert [scanned[i] for i in levels] == rows, (identifier, curve)
+
+
+def test_maximal_runners_build_through_the_rows_hook(monkeypatch):
+    """The benchmark captures the maximal targets' evaluation sets through _maximal_rows."""
+    built = []
+    monkeypatch.setattr(repro, "_maximal_rows", lambda ev, poles, budget: built.append((ev.n, poles)) or [])
+    for runner in (repro._maximal_q8, repro._maximal_q9, repro._maximal_2_6):
+        assert runner(None) == []
+    assert built == [(256, (0, 9, 18, 27)), (243, (0, 10, 20, 23)), (128, (0, 9, 11, 13))]
 
 
 ROW = ExpectedRow("row", 64, 62, 2, 8, "dagger", "exact")
