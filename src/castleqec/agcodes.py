@@ -231,29 +231,22 @@ def certify_duality(evset):
 
     # assemble the twist constraints: one row per distinct product monomial
     by_pole = dict(evset.curve.basis_exponents(top))
-    seen = set()
-    constraint_rows = []
-    for i, lim in enumerate(limits):
-        for rho_j in poles:
-            if rho_j > lim:
-                break
-            key = tuple(a + b for a, b in zip(by_pole[poles[i]], by_pole[rho_j]))
-            if key not in seen:
-                seen.add(key)
-                constraint_rows.append(evset.monomial_row(key))
-    kernel = linalg.kernel_basis(F, np.array(constraint_rows, dtype=np.uint16), n)
+    products = dict.fromkeys(
+        tuple(a + b for a, b in zip(by_pole[rho_i], by_pole[rho_j]))
+        for rho_i, lim in zip(poles, limits)
+        for rho_j in poles
+        if rho_j <= lim
+    )
+    kernel = linalg.kernel_basis(F, evset.monomial_rows(list(products)), n)
 
-    def normalize(x):
-        return F.mul_table[F.inv_table[x[0]], x]
-
-    candidates = [kernel[i] for i in range(kernel.shape[0])]
-    for i in range(kernel.shape[0]):
-        for j in range(i + 1, kernel.shape[0]):
-            for c in range(1, F.order):
-                candidates.append(F.add_table[kernel[i], F.mul_table[c, kernel[j]]])
+    candidates = list(kernel) + [
+        F.add_table[kernel[i], F.mul_table[c, kernel[j]]]
+        for i, j in itertools.combinations(range(len(kernel)), 2)
+        for c in range(1, F.order)
+    ]
     for x in candidates:
         if (x != 0).all() and gram_ok(x):
-            return DualityCertificate("formally-self-dual", normalize(np.asarray(x)))
+            return DualityCertificate("formally-self-dual", F.mul_table[F.inv_table[x[0]], x])  # x[0] = 1
     return DualityCertificate("unverified")
 
 
@@ -293,26 +286,17 @@ def trace_rows(evset, m, small):
 
     f runs over the nonconstant monomial basis of L(mQ) that are not q0-th
     powers of smaller basis functions (their traces repeat), and alpha^j over
-    a basis of the big field over the small one.
+    a basis of the big field over the small one.  Row 0 is the all-ones row;
+    blocks lists (pole order, its ratio-many row indices), function by function.
     """
-    F = evset.field
-    emb = embedding(small, F)
+    emb = embedding(small, evset.field)
     q0, r = small.order, emb.ratio
     S = evset.curve.semigroup
-    out = [np.ones(evset.n, dtype=np.uint16)]
-    blocks = [(0, [0])]
-    alpha_pows = [F.pow(F.primitive, j) for j in range(r)]
-    m = min(m, evset.dimension_set()[-1])  # the descended code stabilizes there too
-    for rho, expo in evset.curve.basis_exponents(m, power_base=q0):
-        if rho == 0 or (rho % q0 == 0 and S.contains(rho // q0)):
-            continue
-        row = evset.curve.monomial_values(expo, evset.coords)
-        idxs = []
-        for a in alpha_pows:
-            idxs.append(len(out))
-            out.append(emb.trace_vec(F.mul_table[a, row]))
-        blocks.append((rho, idxs))
-    return np.array(out, dtype=np.uint16), blocks
+    poles, rows = evset.basis_rows(m, power_base=q0)  # capped where the code stabilizes
+    keep = [i for i, rho in enumerate(poles) if rho and not (rho % q0 == 0 and S.contains(rho // q0))]
+    out = np.concatenate([np.ones((1, evset.n), dtype=np.uint16), emb.trace_rows(rows[keep])])
+    blocks = [(0, [0])] + [(poles[i], list(range(1 + t * r, 1 + (t + 1) * r))) for t, i in enumerate(keep)]
+    return out, blocks
 
 
 def trace_code(evset, m, small):

@@ -158,13 +158,7 @@ class LinearCode:
 
     def trace_code(self, small):
         """The code {(Tr(c_1), ..., Tr(c_n)) : c in C} over the subfield."""
-        emb = embedding(small, self.field)
-        alpha_pows = [self.field.pow(self.field.primitive, j) for j in range(emb.ratio)]
-        rows = []
-        for g in self.matrix:
-            for a in alpha_pows:
-                rows.append(emb.trace_vec(self.field.mul_table[a, g]))
-        return LinearCode(small, self.n, rows)
+        return LinearCode(small, self.n, embedding(small, self.field).trace_rows(self.matrix))
 
     def subfield_subcode(self, small):
         """The code C intersected with small^n, as a code over the subfield.

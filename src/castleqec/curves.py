@@ -13,12 +13,12 @@ spaces L(mQ) get monomial bases indexed by pole order.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 
 import numpy as np
 
+from . import linalg
 from .fields import GF, MAX_ORDER, UnsupportedFieldError, field_from_json, json_int, json_ints
 from .semigroups import NumericalSemigroup
 
@@ -60,34 +60,36 @@ class PointedCurve:
         """Monomial basis of L(mQ) as [(pole order, exponent tuple)], pole ascending.
 
         One monomial per nongap: the first exponent tuple in product order
-        realizing that pole order.  With power_base = q0, whenever a pole
+        realizing that pole order, i.e. each exponent in turn as small as the
+        later generators allow.  reach[j][s] says whether s is a sum of
+        multiples of pole_orders[j:].  With power_base = q0, whenever a pole
         order is q0 times another nongap the basis function is literally the
         q0-th power of the lower one, which the trace constructions rely on.
         """
         if m < 0:
             return []
-        expo_of = {}
-        ranges = [range(m // v + 1) for v in self.pole_orders]
-        for tup in itertools.product(*ranges):
-            pole = sum(e * v for e, v in zip(tup, self.pole_orders))
-            if pole <= m and pole not in expo_of:
-                expo_of[pole] = tup
+        reach = [np.arange(m + 1) == 0]  # prepended right to left, so reach[j] ends up as above
+        for v in reversed(self.pole_orders):
+            row = reach[0].copy()
+            for s in range(v, m + 1, v):
+                row[s:] |= reach[0][: m + 1 - s]
+            reach.insert(0, row)
         nongaps = self.semigroup.elements_up_to(m)
-        assert sorted(expo_of) == nongaps, "pole orders must generate the semigroup"
+        assert np.flatnonzero(reach[0]).tolist() == nongaps, "pole orders must generate the semigroup"
+        rest = np.array(nongaps, dtype=np.int64)
+        expos = np.zeros((len(nongaps), len(self.pole_orders)), dtype=np.int64)
+        for j, v in enumerate(self.pole_orders):
+            short = ~reach[j + 1][rest]  # the remainder needs more of generator j
+            while short.any():
+                expos[short, j] += 1
+                rest[short] -= v
+                short[short] = ~reach[j + 1][rest[short]]
         if power_base is not None and power_base > 1:
-            for rho in nongaps:
-                if rho % power_base == 0 and self.semigroup.contains(rho // power_base):
-                    expo_of[rho] = tuple(power_base * e for e in expo_of[rho // power_base])
-        return [(rho, expo_of[rho]) for rho in nongaps]
-
-    def monomial_values(self, expo, coords=None):
-        """Evaluate the monomial prod(gen_i^e_i) at point coordinates (columns)."""
-        coords = self.affine_coords if coords is None else coords
-        out = np.ones(coords.shape[1], dtype=np.uint16)
-        for i, e in enumerate(expo):
-            if e:
-                out = self.field.mul_table[out, self.field.pow_table(e)[coords[i]]]
-        return out
+            row_of = {rho: i for i, rho in enumerate(nongaps)}
+            for i, rho in enumerate(nongaps):
+                if rho % power_base == 0 and rho // power_base in row_of:
+                    expos[i] = power_base * expos[row_of[rho // power_base]]
+        return [(rho, tuple(int(e) for e in row)) for rho, row in zip(nongaps, expos)]
 
     def __repr__(self):
         return f"<curve {self.tag}: genus {self.genus} over {self.field!r}, {self.num_rational_points} points>"
@@ -128,15 +130,7 @@ def sep_variable_curve(field, f_coeffs, g_coeffs, tag=None):
         raise ValueError(f"deg F = {a} and deg G = {b} must be coprime for one place at infinity")
     fv = _poly_values(field, f)  # value of F at each y
     gv = _poly_values(field, g)  # value of G at each x
-    ys_by_value = {}
-    for y0 in range(field.order):
-        ys_by_value.setdefault(int(fv[y0]), []).append(y0)
-    points = []
-    for x0 in range(field.order):
-        for y0 in ys_by_value.get(int(gv[x0]), ()):
-            points.append((x0, y0))
-    points.sort()
-    coords = np.array(points, dtype=np.uint16).T if points else np.zeros((2, 0), dtype=np.uint16)
+    coords = np.array(np.nonzero(gv[:, None] == fv[None, :]), dtype=np.uint16)  # (x, y) pairs, sorted
     if tag is None:
         tag = f"sep-gf{field.order}"
     return PointedCurve(field, tag, ("x", "y"), (a, b), coords)
@@ -264,7 +258,7 @@ class EvaluationSet:
 
         keep = np.isin(values, np.array(U, dtype=values.dtype))
         cols = curve.affine_coords[:, keep]
-        order = sorted(range(cols.shape[1]), key=lambda j: (int(cols[idx, j]), tuple(int(v) for v in cols[:, j])))
+        order = np.lexsort(tuple(cols[::-1]) + (cols[idx],))  # the last key sorts first
         self.coords = np.ascontiguousarray(cols[:, order])
         self.n = self.coords.shape[1]
         assert self.n == self.fiber_size * len(self.U)
@@ -290,16 +284,23 @@ class EvaluationSet:
         """(pole orders, evaluation matrix) for the monomial basis of L(mQ).
 
         m is capped at the last dimension jump: the evaluated code never
-        changes past it, and the monomial enumeration explodes for huge m.
+        changes past it.
         """
         basis = self.curve.basis_exponents(min(m, self.dimension_set()[-1]), power_base)
-        rows = np.zeros((len(basis), self.n), dtype=np.uint16)
-        for i, (_, expo) in enumerate(basis):
-            rows[i] = self.curve.monomial_values(expo, self.coords)
-        return [rho for rho, _ in basis], rows
+        return [rho for rho, _ in basis], self.monomial_rows([e for _, e in basis])
 
-    def monomial_row(self, expo):
-        return self.curve.monomial_values(expo, self.coords)
+    def monomial_rows(self, expos):
+        """Row i holds the monomial prod(gen_j^expos[i][j]) at each point.
+
+        All at once in the log domain: exp[(E @ log(coords)) mod (q - 1)],
+        then 0 wherever a zero coordinate has a positive exponent (0^0 = 1).
+        """
+        F = self.field
+        E = np.array(expos, dtype=np.int64).reshape(-1, self.coords.shape[0])
+        zero = self.coords == 0
+        out = F.exp[(E @ np.where(zero, 0, F.log[self.coords]).astype(np.int64)) % (F.order - 1)]
+        out[np.matmul(E > 0, zero)] = 0
+        return out
 
     def phi_coefficients(self):
         """Coefficients of phi(t) = prod over U of (t - alpha): the function
@@ -312,27 +313,16 @@ class EvaluationSet:
         Each function is a list of (coefficient, exponent tuple) monomial
         terms; there are exactly abundance(m) of them.
         """
-        phi = self.phi_coefficients()
-        gens = len(self.curve.generator_names)
-        unit = [0] * gens
-        out = []
-        for _, expo in self.curve.basis_exponents(m - self.n):
-            terms = []
-            for d, c in enumerate(phi):
-                if c:
-                    shifted = list(expo)
-                    shifted[self._fib_idx] += d
-                    terms.append((c, tuple(shifted)))
-            out.append(terms)
-        return out
+        phi, j = self.phi_coefficients(), self._fib_idx
+        return [
+            [(c, expo[:j] + (expo[j] + d,) + expo[j + 1 :]) for d, c in enumerate(phi) if c]
+            for _, expo in self.curve.basis_exponents(m - self.n)
+        ]
 
     def evaluate_function(self, terms):
         """Evaluate a list of (coefficient, exponent tuple) terms at the points."""
-        F = self.field
-        acc = np.zeros(self.n, dtype=np.uint16)
-        for c, expo in terms:
-            acc = F.add_table[acc, F.mul_table[c, self.curve.monomial_values(expo, self.coords)]]
-        return acc
+        coeffs = np.array([[c for c, _ in terms]], dtype=np.uint16)
+        return linalg.matmul(self.field, coeffs, self.monomial_rows([e for _, e in terms]))[0]
 
 
 # -- serialization ------------------------------------------------------------------

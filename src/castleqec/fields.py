@@ -336,9 +336,10 @@ class Embedding:
 
     The small field's primitive element maps to the smallest-index element of
     the big field sharing its minimal polynomial; that pins the embedding
-    uniquely and reproducibly.  Also provides the trace back down and the
-    coordinate decomposition of the big field over the small one in the basis
-    {1, alpha, ..., alpha^(r-1)} with alpha the big field's primitive element.
+    uniquely and reproducibly.  Also provides the trace back down, as one
+    lookup table, and the coordinate decomposition of the big field over the
+    small one in the basis {1, alpha, ..., alpha^(r-1)} with alpha the big
+    field's primitive element.
     """
 
     def __init__(self, small, big):
@@ -376,12 +377,21 @@ class Embedding:
 
         # coordinates over the small field in the basis {alpha^j}: evaluate all
         # q0^r = q coordinate vectors once and invert the bijection by indexing
+        self._alpha_pows = big.exp[: self.ratio]  # alpha^j for j < ratio
         coords = np.array(list(itertools.product(range(q0), repeat=self.ratio)), dtype=np.uint16)
         elems = np.zeros(q, dtype=np.uint16)
-        for j in range(self.ratio):
-            elems = big.add_table[elems, big.mul_table[fwd[coords[:, j]], big.pow(big.primitive, j)]]
+        for j, a in enumerate(self._alpha_pows):
+            elems = big.add_table[elems, big.mul_table[fwd[coords[:, j]], a]]
         self._coords = np.zeros((q, self.ratio), dtype=np.uint16)
         self._coords[elems] = coords
+
+        # trace_table[a] = Tr(a) = sum of a^(q0^i) for i < ratio, as a small-field index
+        frob = big.pow_table(q0)
+        acc = t = np.arange(q, dtype=np.uint16)
+        for _ in range(self.ratio - 1):
+            t = frob[t]
+            acc = big.add_table[acc, t]
+        self.trace_table = self.project_vec(acc)
 
     def embed(self, x):
         return int(self.fwd[x])
@@ -402,26 +412,17 @@ class Embedding:
         return s.astype(np.uint16)
 
     def trace(self, x):
-        return self.project(self._trace_in_big(x))
-
-    def _trace_in_big(self, x):
-        q0 = self.small.order
-        acc, t = x, x
-        for _ in range(self.ratio - 1):
-            t = self.big.pow(t, q0)
-            acc = self.big.add(acc, t)
-        return acc
+        return int(self.trace_table[x])
 
     def trace_vec(self, arr):
         """Coordinatewise trace of an array of big-field indices, as small-field indices."""
-        q0 = self.small.order
-        pw = self.big.pow_table(q0)
-        acc = np.asarray(arr, dtype=np.uint16)
-        t = acc
-        for _ in range(self.ratio - 1):
-            t = pw[t]
-            acc = self.big.add_table[acc, t]
-        return self.project_vec(acc)
+        return self.trace_table[np.asarray(arr)]
+
+    def trace_rows(self, M):
+        """Rows Tr(alpha^j g) for each row g of M and each j < ratio, g-major."""
+        M = np.asarray(M, dtype=np.uint16)
+        scaled = self.big.mul_table[self._alpha_pows[None, :, None], M[:, None, :]]
+        return self.trace_vec(scaled).reshape(M.shape[0] * self.ratio, M.shape[1])
 
     def decompose_vec(self, arr):
         """Coordinates over the small field in basis {alpha^j}: shape (ratio, len(arr))."""

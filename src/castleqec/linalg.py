@@ -33,8 +33,11 @@ def rref(field, rows, n=None):
     Returns (R, pivots); R[i, pivots[i]] = 1, pivot columns are zero
     elsewhere, pivots strictly increase.  This is the canonical form used for
     code equality.  A pivot row is zero left of its pivot, so each update
-    touches only the columns from the pivot on.
+    touches only the columns from the pivot on.  Over GF(2) each row is one
+    Python integer instead (see _rref_gf2).
     """
+    if field.order == 2:
+        return _rref_gf2(as_matrix(rows, n))
     R = as_matrix(rows, n).copy()
     k, ncols = R.shape
     mul, neg, inv = field.mul_table, field.neg_table, field.inv_table
@@ -57,6 +60,31 @@ def rref(field, rows, n=None):
         pivots.append(col)
         r += 1
     return np.ascontiguousarray(R[:r]), tuple(pivots)
+
+
+def _rref_gf2(M):
+    """rref over GF(2) with each row one Python integer, column 0 the top bit.
+
+    An XOR basis keyed by leading bit takes the rows in turn; clearing the
+    lower pivot bits of each basis row, lowest first, then reduces it.
+    """
+    width = -(-M.shape[1] // 8)  # bytes per packed row; column c is bit 8 width - 1 - c
+    basis = {}
+    for row in np.packbits(M.astype(np.uint8), axis=1):
+        v = int.from_bytes(row.tobytes(), "big")
+        while v and v.bit_length() - 1 in basis:
+            v ^= basis[v.bit_length() - 1]
+        if v:
+            basis[v.bit_length() - 1] = v
+    leads = sorted(basis)
+    for i, lead in enumerate(leads):
+        for low in leads[:i]:
+            if basis[lead] >> low & 1:
+                basis[lead] ^= basis[low]
+    leads.reverse()  # pivot columns ascending
+    data = b"".join(basis[lead].to_bytes(width, "big") for lead in leads)
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(len(leads), width), axis=1)
+    return bits[:, : M.shape[1]].astype(np.uint16), tuple(8 * width - 1 - lead for lead in leads)
 
 
 def add(field, X, Y):

@@ -1,3 +1,7 @@
+import itertools
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -112,6 +116,61 @@ def test_basis_power_base_override():
     assert powered[4] == (2, 0)
     # pole orders are untouched
     assert sorted(plain) == sorted(powered)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+CURVE_FILES = sorted(ROOT.glob("curves/*.json")) + sorted(ROOT.glob("perfbench/curves/*.json"))
+
+
+def box_walk_basis(curve, m, power_base=None):
+    """Reference basis: walk the whole exponent box in itertools.product order."""
+    if m < 0:
+        return []
+    expo_of = {}
+    for tup in itertools.product(*[range(m // v + 1) for v in curve.pole_orders]):
+        pole = sum(e * v for e, v in zip(tup, curve.pole_orders))
+        if pole <= m and pole not in expo_of:
+            expo_of[pole] = tup
+    nongaps = sorted(expo_of)
+    if power_base is not None and power_base > 1:
+        for rho in nongaps:
+            if rho % power_base == 0 and curve.semigroup.contains(rho // power_base):
+                expo_of[rho] = tuple(power_base * e for e in expo_of[rho // power_base])
+    return [(rho, expo_of[rho]) for rho in nongaps]
+
+
+def scalar_monomial(F, expo, point):
+    """prod(coord_i^e_i) through F.pow and F.mul one factor at a time."""
+    acc = 1
+    for c, e in zip(point, expo):
+        acc = F.mul(acc, F.pow(c, e))
+    return acc
+
+
+@pytest.mark.parametrize("path", CURVE_FILES, ids=lambda p: p.stem)
+def test_basis_matches_box_walk_and_scalar_evaluation(path):
+    ev = evaluation_set_from_json(json.loads(path.read_text()))
+    curve, F = ev.curve, ev.field
+    # canonical point order: fiber value, then the coordinate tuple
+    key = [(pt[ev._fib_idx], pt) for pt in ev.points]
+    assert key == sorted(key)
+    top = ev.dimension_set()[-1]
+    subfields = [q0 for q0 in range(2, F.order) if F.is_subfield_order(q0)]
+    for m in (-1, 0, top // 3, top):
+        for power_base in [None, *subfields]:
+            assert curve.basis_exponents(m, power_base) == box_walk_basis(curve, m, power_base), (m, power_base)
+    # the points include zero coordinates, where 0^0 = 1 and 0^e = 0
+    assert (ev.coords == 0).any()
+    scalar_rows = {}
+    for power_base in [None, *subfields]:
+        poles, rows = ev.basis_rows(top, power_base)
+        basis = curve.basis_exponents(top, power_base)
+        assert poles == [rho for rho, _ in basis] and rows.shape == (len(basis), ev.n)
+        for row, (_, expo) in zip(rows.tolist(), basis):
+            if expo not in scalar_rows:
+                scalar_rows[expo] = [scalar_monomial(F, expo, pt) for pt in ev.points]
+            assert row == scalar_rows[expo], expo
+    assert ev.basis_rows(-1)[1].shape == (0, ev.n)
 
 
 def test_basis_poles_are_exact():

@@ -170,7 +170,10 @@ def test_trace_gf4_to_gf2():
     assert emb.trace(w) == 1
 
 
-@pytest.mark.parametrize("q0,q", [(2, 4), (2, 8), (2, 16), (2, 64), (3, 9), (3, 27), (4, 16), (4, 64), (8, 64), (5, 25), (9, 81)])
+SUBFIELD_PAIRS = [(q0, q) for q in (4, 8, 16, 64, 81) for q0 in range(2, q + 1) if GF(q).is_subfield_order(q0)]
+
+
+@pytest.mark.parametrize("q0,q", SUBFIELD_PAIRS + [(3, 9), (3, 27), (5, 25)])
 def test_embedding_properties(q0, q):
     S, B = GF(q0), GF(q)
     emb = embedding(S, B)
@@ -213,10 +216,19 @@ def test_embedding_properties(q0, q):
             expected = S.add(expected, s)
         assert emb.trace(int(fwd[s])) == expected
 
-    # vectorized trace agrees with the scalar path
+    # the trace table is the Frobenius sum x + x^q0 + ... + x^(q0^(r-1)), projected
+    for x in range(q):
+        acc = 0
+        for i in range(r):
+            acc = B.add(acc, B.pow(x, q0 ** i))
+        assert int(emb.trace_table[x]) == emb.project(acc)
     arr = np.arange(q, dtype=np.uint16)
-    tv = emb.trace_vec(arr)
-    assert [int(v) for v in tv] == [emb.trace(x) for x in range(q)]
+    assert [int(v) for v in emb.trace_vec(arr)] == [emb.trace(x) for x in range(q)]
+    # the trace rows of M are Tr(alpha^j g), row g of M, then j
+    M = np.array([[rng.randrange(q) for _ in range(5)] for _ in range(3)], dtype=np.uint16)
+    expected = [[emb.trace(B.mul(B.pow(B.primitive, j), int(x))) for x in g] for g in M for j in range(r)]
+    assert emb.trace_rows(M).tolist() == expected
+    assert emb.trace_rows(M[:0]).shape == (0, 5)
 
 
 def test_embedding_surjectivity_of_trace():

@@ -116,6 +116,7 @@ def kernel_cases(rng, q, n):
     yield np.eye(n, dtype=np.uint16)  # full rank: the kernel is zero
     base = random_matrix(rng, q, 2, n)
     yield np.vstack([base, GF(q).mul_table[rng.randrange(1, q), base[0]][None, :]])  # rank deficient
+    yield matmul(GF(q), random_matrix(rng, q, n + 2, 2), random_matrix(rng, q, 2, n))  # rank <= 2, tall
     for _ in range(4):
         yield random_matrix(rng, q, rng.randrange(1, n + 2), n)
 
@@ -132,6 +133,20 @@ def test_kernel_basis_matches_brute_force(q, n):
         if len(K):
             assert not matmul(F, M, K.T).any() if len(M) else True
         assert F.order ** K.shape[0] == brute_force_kernel_size(F, M, n)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 130])
+def test_gf2_elimination_matches_generic_path(n):
+    # a 0/1 matrix has the same RREF and kernel over GF(4), which takes the table path
+    F2, F4 = GF(2), GF(4)
+    rng = random.Random(n)
+    for M in [*kernel_cases(rng, 2, n), random_matrix(rng, 2, n + 9, n), np.eye(n, dtype=np.uint16)[::-1]]:
+        R2, p2 = rref(F2, M, n)
+        R4, p4 = rref(F4, M, n)
+        assert p2 == p4 and R2.dtype == R4.dtype and R2.shape == R4.shape and (R2 == R4).all()
+        assert all(type(c) is int for c in p2)
+        K2, K4 = kernel_basis(F2, M, n), kernel_basis(F4, M, n)
+        assert K2.shape == K4.shape and (K2 == K4).all()
 
 
 MATMUL_FIELDS = [2, 3, 4, 5, 8, 9, 16, 25, 27, 32, 64, 81, 243, 1021, 1024]
