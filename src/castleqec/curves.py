@@ -68,7 +68,7 @@ class PointedCurve:
         """
         if m < 0:
             return []
-        reach = [np.arange(m + 1) == 0]  # prepended right to left, so reach[j] ends up as above
+        reach = [np.arange(m + 1) == 0]  # no generators reach only 0; prepend the rest, last first
         for v in reversed(self.pole_orders):
             row = reach[0].copy()
             for s in range(v, m + 1, v):
