@@ -7,6 +7,7 @@ the same columns.  The enumeration budget honours CASTLEQEC_BUDGET.
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -164,7 +165,9 @@ def cmd_gv(args):
 # -- parser -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="castleqec",
         description="one-point AG codes on Castle curves and the quantum codes they induce",

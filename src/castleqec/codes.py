@@ -40,6 +40,15 @@ class OverBudget(ValueError):
     """An exact distance that a construction cannot do without is over budget."""
 
 
+def in_budget(q, n, k, budget):
+    """Whether an [n, k]_q code's weights are exact within budget.
+
+    Enumeration visits q^k words, or q^(n-k) of the dual's: the cheaper
+    side decides, so a dual is worth building only when this holds.
+    """
+    return q ** min(k, n - k) <= budget
+
+
 class LinearCode:
     """An [n, k] linear code over a small finite field, canonically presented."""
 
@@ -257,10 +266,12 @@ class _Weights:
         q, n, k = code.field.order, code.n, code.dimension
         self.n, self.q = n, q
         self.mode = None
+        if not in_budget(q, n, k, budget):
+            return
         if q ** k <= budget:
             self.mode = "direct"
             self.vec = _enumerated(code)
-        elif q ** (n - k) <= budget:
+        else:
             self.mode = "mac"
             self.dual_counts = _enumerated_dual(code)
             self.dual_size = q ** (n - k)

@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import linalg
 from .agcodes import dual_distance_bound
-from .codes import relative_min_weight
+from .codes import LinearCode, in_budget, relative_min_weight, work_budget
 
 
 @dataclass
@@ -53,8 +54,8 @@ def _css(n, k, q, sides, construction, budget):
     sides yields (stabilizer, normalizer) pairs, the X side first and then
     the Z side when it differs; d is the least weight of normalizer minus
     stabilizer over them.  A side over budget leaves d uncomputed, so the
-    sides after it are never built.  For k = 0 the convention is the minimum
-    weight of the normalizer.
+    sides after it are never built; with no sides at all d stays None.  For
+    k = 0 the convention is the minimum weight of the normalizer.
     """
     d = None
     for sub, sup in sides:
@@ -136,6 +137,29 @@ def _twist_root(F, cert, qt):
     return y
 
 
+def _twisted_rows(level, twist):
+    """Generator rows of x * C_i; C_i's own rows on an exactly self-dual flag."""
+    if twist is None:
+        return level.matrix
+    return level.field.mul_table[level.matrix, twist[None, :]]
+
+
+def _in_certified_partner(level, twist):
+    """C_i <= C_(n-i) = x^-1 * C_i^perp as one i x i Gram product: x * C_i is orthogonal to C_i."""
+    return not linalg.matmul(level.field, _twisted_rows(level, twist), level.matrix.T).any()
+
+
+def _certified_partner(level, twist):
+    """C_(n-i) = x^-1 * C_i^perp, read off the duality certificate.
+
+    v lies in x^-1 * C_i^perp iff x * v is orthogonal to C_i, so the partner
+    is the kernel of the i x n matrix G diag(x): one kernel, never the
+    n - i rows of the sequence itself.
+    """
+    F, n = level.field, level.n
+    return LinearCode.from_rref(F, n, linalg.kernel_basis(F, _twisted_rows(level, twist), n))
+
+
 def level_step(seq, cert, construction, budget=None):
     """The per-level step of a sequence construction.
 
@@ -153,14 +177,23 @@ def level_step(seq, cert, construction, budget=None):
                    itself (scalar extension to F_{q^2} fixes every C_i).
     The gate of A is tested as hermitian self-orthogonality too: with
     C_(n-i) = C_i^perp, i + q(i) <= n says C_i^[q~] <= C_i^perp, which is
-    C_i <= C_i^perpH.  step(0) is the trivial [[n, n, 1]] code.  Distances
-    are exact when in budget, else the certified lower bound on d(C_i^perp).
+    C_i <= C_i^perpH.  Every gate is one i x i Gram product.
+
+    A step builds only the codes its row reads, and asks the sequence for
+    no level but C_i.  C_(n-i) is the certified dual x^-1 * C_i^perp, and
+    C_i <= C_(n-i) says x * C_i is orthogonal to C_i.  The Z side
+    (C_(n-i)^perp, C_i^perp) = x * (C_i, C_(n-i)) has the X side's weights,
+    so the X side alone gives d.  The partner, C_(n-i) or C_i^perpH, is
+    built only when in_budget says its weights will be read.  step(0) is
+    the trivial [[n, n, 1]] code.  Distances are exact when in budget, else
+    the certified lower bound on d(C_i^perp).
     """
     if construction not in ("A", "B", "C", "hermitian"):
         raise ValueError(f"unknown construction {construction!r}")
     ev, n = seq.evset, seq.n
+    F = ev.field
     euclidean = construction == "C"
-    q = ev.field.order if euclidean else ev.field.sqrt_order()
+    q = F.order if euclidean else F.sqrt_order()
     if construction != "hermitian" and cert.status == "unverified":
         raise ValueError(
             f"duality certification failed for {ev.curve.tag}: "
@@ -171,21 +204,25 @@ def level_step(seq, cert, construction, budget=None):
             f"construction A needs an exactly self-dual sequence; "
             f"{ev.curve.tag} first fails at m={_first_self_dual_failure(seq)}"
         )
-    y = _twist_root(ev.field, cert, q) if construction == "B" else None
+    y = _twist_root(F, cert, q) if construction == "B" else None
 
     def step(i):
         if i == 0:
             return QuantumParams(n, n, 1, q, "exact", construction)
+        if 2 * i > n:  # C_i <= C_(n-i) and C_i <= C_i^perpH both need 2i <= n
+            return None
+        level = seq.level(i) if y is None else seq.level(i).star(y)
         if euclidean:
-            if 2 * i > n:
-                return None
-            params = css_nested(seq.level(i), seq.level(n - i), budget, construction)
-        else:
-            level = seq.level(i) if y is None else seq.level(i).star(y)
-            hdual = level.hermitian_dual()
-            if not level <= hdual:
-                return None
-            params = _css(n, n - 2 * level.dimension, q, [(level, hdual)], construction, budget)
+            if not _in_certified_partner(level, cert.twist):
+                raise ValueError(f"{ev.curve.tag}: C_{i} is not in its certified partner C_{n - i}")
+        elif not level.is_self_orthogonal("hermitian"):
+            return None
+        b = work_budget() if budget is None else budget
+        sides = []
+        if in_budget(F.order, n, i, b):
+            partner = _certified_partner(level, cert.twist) if euclidean else level.hermitian_dual()
+            sides = [(level, partner)]
+        params = _css(n, n - 2 * i, q, sides, construction, b)
         return params.with_bound(dual_distance_bound(ev, seq.pole_of_level(i), cert))
 
     return step

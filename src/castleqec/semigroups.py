@@ -36,26 +36,33 @@ class NumericalSemigroup:
         self.genus = len(self.gaps)
         self.conductor = int(gaps[-1]) + 1 if self.genus else 0
         self.multiplicity = gens[0]
-        self._cum_members = np.cumsum(self._member)
 
-        # minimal generating system: nonzero members not expressible as a sum
-        # of two nonzero members
-        self.generators = tuple(
-            s for s in self.elements_up_to(self.conductor + self.multiplicity)
-            if s and not any(
-                self.contains(s - t) for t in self.elements_up_to(s - 1) if 0 < t
-            )
-        )
+        # nu(s) for every s in one convolution of the membership vector; the
+        # window reaches 2 * conductor, past which nu(s) = s + 1 - 2 * genus,
+        # and the largest minimal generator, below conductor + multiplicity
+        size = max(2 * self.conductor, self.conductor + self.multiplicity + 1)
+        if len(self._member) < size:  # every integer from the conductor on is a member
+            self._member = np.concatenate([self._member, np.ones(size - len(self._member), dtype=bool)])
+        self._cum_members = np.cumsum(self._member)
+        counts = self._member[:size].astype(np.int64)
+        self._nu = np.convolve(counts, counts)[:size]
+        # minimal generating system: the nonzero members whose only sums of
+        # two members are 0 + s and s + 0
+        self.generators = tuple(int(s) for s in np.flatnonzero(self._member[:size] & (self._nu == 2)) if s)
 
     def _sieve(self, bound):
+        """Members in [0, bound]: closing {0} under each generator in turn.
+
+        Closing under g is a running OR down each residue class mod g, which
+        is one accumulate over the rows of the vector reshaped to width g.
+        """
         member = np.zeros(bound + 1, dtype=bool)
         member[0] = True
-        gens = self._gens
-        for i in range(gens[0], bound + 1):
-            for g in gens:
-                if g <= i and member[i - g]:
-                    member[i] = True
-                    break
+        for g in self._gens:
+            rows = -(-(bound + 1) // g)
+            padded = np.zeros(rows * g, dtype=bool)
+            padded[: bound + 1] = member
+            member = np.logical_or.accumulate(padded.reshape(rows, g), axis=0).ravel()[: bound + 1]
         return member
 
     # -- membership and counting ------------------------------------------------
@@ -109,20 +116,21 @@ class NumericalSemigroup:
         """Number of ordered pairs of members summing to s."""
         if s < 0:
             return 0
-        window = np.array([self.contains(a) for a in range(s + 1)])
-        return int(np.count_nonzero(window & window[::-1]))
+        if s < len(self._nu):
+            return int(self._nu[s])
+        return s + 1 - 2 * self.genus
 
     def order_bound(self, m):
         """min nu(s) over members s > m: the Feng-Rao floor of d(C(mQ)^perp).
 
         nu(s) = s + 1 - 2*genus for s >= 2*conductor - 1 and is increasing
-        there, so the scan below the threshold plus one tail value is exact.
+        there, so the members below the threshold plus one tail value are exact.
         """
         c, g = self.conductor, self.genus
-        vals = [self.nu(s) for s in range(m + 1, 2 * c) if self.contains(s)]
         if m + 1 > 2 * c - 1:
-            vals.append(m + 2 - 2 * g)
-        return max(1, min(vals))
+            return max(1, m + 2 - 2 * g)
+        lo = max(m + 1, 0)
+        return max(1, int(self._nu[lo : 2 * c][self._member[lo : 2 * c]].min()))
 
     # -- serialization --------------------------------------------------------------
 

@@ -258,8 +258,8 @@ def test_scan_hermitian_computes_each_hermitian_dual_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "scan", "--curve-file", HYPER45, "--construction", "hermitian")
     assert code == 0
     assert len(json_rows(out)) == 6
-    # levels 1-5 give rows and level 6 fails the containment gate
-    assert visited == [1, 2, 3, 4, 5, 6]
+    # levels 1-5 give rows; level 6 fails the Gram gate, which needs no dual
+    assert visited == [1, 2, 3, 4, 5]
 
 
 def test_scan_construction_c_enumerates_each_code_once(capsys, monkeypatch):
@@ -285,7 +285,7 @@ def test_scan_hermitian_tests_each_containment_once(capsys, monkeypatch):
     monkeypatch.setattr(LinearCode, "contains_code", counting)
     code, out, _ = run_cli(capsys, "scan", "--curve-file", HYPER45, "--construction", "hermitian")
     assert code == 0 and len(json_rows(out)) == 6
-    assert tested == [1, 2, 3, 4, 5, 6]
+    assert tested == []  # every gate is a Gram product
 
 
 # -- gv -----------------------------------------------------------------------
@@ -380,6 +380,22 @@ def test_unknown_target_is_an_argparse_error(capsys):
         cli.main(["reproduce", "--target", "bogus"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_main_calls_share_one_parser(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    for _ in range(2):  # the same exit codes from a fresh parser and from the shared one
+        assert run_cli(capsys, "build", "--curve-file", str(broken), "--m", "0")[0] == 2
+        assert run_cli(capsys, "gv", "--n", "8", "--k", "6", "--d", "2", "--q", "6")[0] == 3
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["scan", "--curve-file", SUZUKI, "--construction", "D"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_scan_a_rejects_twisted_sequences(capsys):

@@ -1,14 +1,22 @@
+import json
+from pathlib import Path
+
 import pytest
 
+from castleqec import linalg
 from castleqec.agcodes import (
     CodeSequence,
     OnePointCode,
     certify_duality,
     incomplete_trace_search,
 )
+from castleqec.codes import LinearCode
+from castleqec.curves import evaluation_set_from_json
 from castleqec.fields import GF
 from castleqec.quantum import (
     QuantumParams,
+    _certified_partner,
+    _in_certified_partner,
     css_hermitian,
     css_nested,
     css_self_orthogonal,
@@ -215,3 +223,64 @@ def test_quantum_params_formatting_and_bounds():
     assert str(missing) == "[[64,42,?]]_8"
     filled = missing.with_bound(5)
     assert filled.d == 5 and filled.d_provenance == "lower-bound"
+
+
+# -- each scan level builds only what its row reads --------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+CURVE_FILES = sorted(ROOT.glob("curves/*.json")) + sorted(ROOT.glob("perfbench/curves/*.json"))
+
+
+def load(path):
+    return evaluation_set_from_json(json.loads(Path(path).read_text()))
+
+
+@pytest.mark.parametrize("path", CURVE_FILES, ids=lambda p: p.stem)
+def test_certified_partner_is_the_sequence_level(path):
+    ev = load(path)
+    cert = certify_duality(ev)
+    if cert.status == "unverified":
+        pytest.skip("no verified certificate")
+    seq, n = CodeSequence(ev), ev.n
+    for i in range(1, n // 2 + 1):
+        level, partner = seq.level(i), seq.level(n - i)
+        assert _certified_partner(level, cert.twist) == partner
+        assert partner.contains_code(level) and _in_certified_partner(level, cert.twist)
+    # past n/2 the Gram test refuses, as containment does
+    above, below = seq.level(n // 2 + 1), seq.level(n - n // 2 - 1)
+    assert not below.contains_code(above) and not _in_certified_partner(above, cert.twist)
+
+
+@pytest.mark.parametrize(
+    "path,construction",
+    [(ROOT / "curves/hermitian-gf16.json", c) for c in ("A", "B", "C", "hermitian")]
+    + [(ROOT / "curves/twisted-gf9.json", c) for c in ("B", "C", "hermitian")],
+    ids=lambda v: v if isinstance(v, str) else v.stem,
+)
+def test_a_budget_one_scan_builds_no_dual(monkeypatch, path, construction):
+    ev = load(path)
+    seq, cert = CodeSequence(ev), certify_duality(ev)
+    built = []
+
+    def spy(name, original):
+        def recording(*args):
+            built.append(name)
+            return original(*args)
+
+        return recording
+
+    for name in ("dual", "hermitian_dual", "contains_code"):
+        monkeypatch.setattr(LinearCode, name, spy(name, getattr(LinearCode, name)))
+    monkeypatch.setattr(linalg, "kernel_basis", spy("kernel_basis", linalg.kernel_basis))  # C's partner
+    rows = scan_sequence(seq, cert, construction, budget=1)
+    assert len(rows) > 2 and all(p.d_provenance == "lower-bound" for _, p in rows[1:])
+    assert built == []
+    assert len(seq._levels) <= ev.n // 2 + 2  # nothing past the first closed gate
+
+
+def test_a_one_level_c_scan_keeps_two_levels():
+    ev = load(ROOT / "curves/hermitian-gf16.json")
+    seq = CodeSequence(ev)
+    rows = scan_sequence(seq, certify_duality(ev), "C", budget=1, max_i=1)
+    assert [i for i, _ in rows] == [0, 1]
+    assert len(seq._levels) <= 2

@@ -1,7 +1,11 @@
+import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from castleqec.curves import curve_from_json
 from castleqec.semigroups import NumericalSemigroup, semigroup_from_json
 
 
@@ -142,3 +146,69 @@ def test_json_roundtrip():
         semigroup_from_json(obj)
     with pytest.raises(ValueError):
         semigroup_from_json({"generators": [2, 3], "gaps": [1, 5]})
+
+
+# -- the whole-array steps against the loops they replaced -------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+CURVE_FILES = sorted(ROOT.glob("curves/*.json")) + sorted(ROOT.glob("perfbench/curves/*.json")) + [
+    ROOT / "tests/data/suzuki32.json"
+]
+
+
+def loop_sieve(gens, bound):
+    member = np.zeros(bound + 1, dtype=bool)
+    member[0] = True
+    for i in range(gens[0], bound + 1):
+        for g in gens:
+            if g <= i and member[i - g]:
+                member[i] = True
+                break
+    return member
+
+
+def loop_nu(S, s):
+    if s < 0:
+        return 0
+    window = np.array([S.contains(a) for a in range(s + 1)])
+    return int(np.count_nonzero(window & window[::-1]))
+
+
+def loop_order_bound(S, m, nu):
+    c, g = S.conductor, S.genus
+    vals = [nu[s] for s in range(m + 1, 2 * c) if S.contains(s)]
+    if m + 1 > 2 * c - 1:
+        vals.append(m + 2 - 2 * g)
+    return max(1, min(vals))
+
+
+def loop_generators(S):
+    return tuple(
+        s for s in S.elements_up_to(S.conductor + S.multiplicity)
+        if s and not any(S.contains(s - t) for t in S.elements_up_to(s - 1) if 0 < t)
+    )
+
+
+@pytest.mark.parametrize("path", CURVE_FILES, ids=lambda p: p.stem)
+def test_whole_array_steps_match_the_loops_on_every_curve(path):
+    S = curve_from_json(json.loads(path.read_text())).semigroup
+    gens = sorted(S.generators)
+    bound = 2 * S.conductor + S.multiplicity + 5
+    assert (S._sieve(bound) == loop_sieve(gens, bound)).all()
+    assert S.generators == loop_generators(S)
+    top = 2 * S.conductor + 3
+    nu = {s: loop_nu(S, s) for s in range(-2, top)}  # the old nu, once per s
+    assert [S.nu(s) for s in range(-2, top)] == list(nu.values())
+    assert [S.order_bound(m) for m in range(-1, top)] == [loop_order_bound(S, m, nu) for m in range(-1, top)]
+
+
+@pytest.mark.parametrize("gens", [[1], [2, 3], [3, 5, 7], [4, 6, 9], [6, 7, 8, 9, 10, 11], [5, 11]])
+def test_whole_array_steps_match_the_loops_on_small_semigroups(gens):
+    S = NumericalSemigroup(gens)
+    bound = 3 * S.conductor + 2 * max(gens)
+    assert (S._sieve(bound) == loop_sieve(sorted(gens), bound)).all()
+    assert S.generators == loop_generators(S)
+    top = 2 * S.conductor + 3
+    nu = {s: loop_nu(S, s) for s in range(-2, top)}  # the old nu, once per s
+    assert [S.nu(s) for s in range(-2, top)] == list(nu.values())
+    assert [S.order_bound(m) for m in range(-1, top)] == [loop_order_bound(S, m, nu) for m in range(-1, top)]
