@@ -1,6 +1,7 @@
 """Byte identity of `scan --format csv` on every curve file and construction.
 
-The digests in data/scan_digests.json pin the stdout and the exit code of
+The curve files are those in curves/ plus those in data/twisted/, whose
+flags are self-dual only up to a nonconstant twist.  The digests in data/scan_digests.json pin the stdout and the exit code of
 each command at budget 1 (bound mode: the linear algebra runs, no word is
 enumerated).  Re-record them only for an intended output change:
 
@@ -20,13 +21,17 @@ from castleqec import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data" / "scan_digests.json"
+TWISTED = DATA.parent / "twisted"
 CONSTRUCTIONS = ("A", "B", "C", "hermitian")
-CASES = [(path.name, c) for path in sorted((ROOT / "curves").glob("*.json")) for c in CONSTRUCTIONS]
+FILES = {path.name: path for path in sorted((ROOT / "curves").glob("*.json"))} | {
+    f"twisted/{path.name}": path for path in sorted(TWISTED.glob("*.json"))
+}
+CASES = [(curve, c) for curve in FILES for c in CONSTRUCTIONS]
 
 
 def scan_digest(curve, construction):
     out, err = io.StringIO(), io.StringIO()
-    argv = ["scan", "--curve-file", str(ROOT / "curves" / curve), "--construction", construction, "--format", "csv"]
+    argv = ["scan", "--curve-file", str(FILES[curve]), "--construction", construction, "--format", "csv"]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return {"sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(), "exit": code}, err.getvalue()
