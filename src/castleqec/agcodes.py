@@ -166,8 +166,8 @@ class DualityCertificate:
 
     status "self-dual": C_i^perp == C_(n-i) exactly, twist is None.
     status "formally-self-dual": C_i^perp == x * C_(n-i) for the stored
-    all-nonzero twist x (normalized to x[0] = 1).
-    status "unverified": neither could be certified.
+    residue twist x, which is all nonzero and normalized to x[0] = 1.
+    status "unverified": the curve gives no twist, or the twist fails.
     """
 
     def __init__(self, status, twist=None):
@@ -178,34 +178,16 @@ class DualityCertificate:
         return f"<duality {self.status}>"
 
 
-def _dual_pair_limits(evset, poles):
-    """For each pole index, the largest partner pole that duality constrains.
-
-    Pair (rho_i, rho_j) is constrained iff some dimension-set element m with
-    m <= n + 2g - 2 has rho_i <= m and rho_j <= n + 2g - 2 - m.
-    """
-    S = evset.curve.semigroup
-    n = evset.n
-    top = n + 2 * S.genus - 2
-    ms = [m for m in S.dimension_set(n) if m <= top]
-    limits = []
-    for rho in poles:
-        partners = [top - m for m in ms if m >= rho]
-        limits.append(max(partners) if partners else -1)
-    return limits
-
-
 def certify_duality(evset):
-    """Certify that the dual of every C(mQ) is a (possibly twisted) C(m^perp Q).
+    """Certify that the dual of every C(mQ) is x * C(m^perp Q), m^perp = n + 2g - 2 - m.
 
-    First tries the untwisted identity via one Gram matrix of all basis rows.
-    If that fails, solves the linear system for a single twist vector x making
-    <x * u, v> vanish for all constrained basis pairs, then verifies the
-    twisted identity the same way.  Dimension complements are checked in both
-    phases, so a certificate really pins down every dual in the sequence.
+    x is the residue twist of the evaluation set.  The certificate is the
+    dimension complements, dim C(mQ) + dim C(m^perp Q) = n, plus one product
+    saying x is orthogonal to C((n + 2g - 2)Q): products of L(mQ) with
+    L(m^perp Q) lie in L((n + 2g - 2)Q), so x * C(mQ) is orthogonal to
+    C(m^perp Q).  An all-ones x is exact self-duality.
     """
     S = evset.curve.semigroup
-    F = evset.field
     n, g = evset.n, S.genus
     top = n + 2 * g - 2
 
@@ -217,37 +199,12 @@ def certify_duality(evset):
         if lhs + rhs != n:
             return DualityCertificate("unverified")
 
-    poles, rows = evset.basis_rows(top)
-    limits = _dual_pair_limits(evset, poles)
-
-    constrained = np.asarray(poles)[None, :] <= np.asarray(limits)[:, None]
-
-    def gram_ok(x):
-        scaled = rows if x is None else F.mul_table[rows, x[None, :]]
-        return not linalg.matmul(F, scaled, rows.T)[constrained].any()
-
-    if gram_ok(None):
+    x = evset.residue_twist()
+    if x is None or linalg.matmul(evset.field, evset.basis_rows(top)[1], x[:, None]).any():
+        return DualityCertificate("unverified")
+    if (x == 1).all():
         return DualityCertificate("self-dual")
-
-    # assemble the twist constraints: one row per distinct product monomial
-    by_pole = dict(evset.curve.basis_exponents(top))
-    products = dict.fromkeys(
-        tuple(a + b for a, b in zip(by_pole[rho_i], by_pole[rho_j]))
-        for rho_i, lim in zip(poles, limits)
-        for rho_j in poles
-        if rho_j <= lim
-    )
-    kernel = linalg.kernel_basis(F, evset.monomial_rows(list(products)), n)
-
-    candidates = list(kernel) + [
-        F.add_table[kernel[i], F.mul_table[c, kernel[j]]]
-        for i, j in itertools.combinations(range(len(kernel)), 2)
-        for c in range(1, F.order)
-    ]
-    for x in candidates:
-        if (x != 0).all() and gram_ok(x):
-            return DualityCertificate("formally-self-dual", F.mul_table[F.inv_table[x[0]], x])  # x[0] = 1
-    return DualityCertificate("unverified")
+    return DualityCertificate("formally-self-dual", x)
 
 
 def dual_distance_bound(evset, m, cert):

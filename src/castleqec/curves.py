@@ -2,8 +2,10 @@
 
 A PointedCurve bundles what one-point AG codes actually consume: the base
 field, a generating set of functions regular away from the distinguished
-place Q (with their pole orders at Q), and the coordinates of every affine
-rational point.  The Weierstrass semigroup at Q is generated by those pole
+place Q (with their pole orders at Q), the coordinates of every affine
+rational point, and its sides: for a fibration generator, the other generator
+and the coefficients of the side of the curve equation written in it, whose
+derivative is F_y.  The Weierstrass semigroup at Q is generated by those pole
 orders for every family constructed here.
 
 An EvaluationSet picks the divisor D: it fixes a fibration function, keeps
@@ -24,12 +26,13 @@ from .semigroups import NumericalSemigroup
 
 
 class PointedCurve:
-    def __init__(self, field, tag, generator_names, pole_orders, affine_coords):
+    def __init__(self, field, tag, generator_names, pole_orders, affine_coords, sides=None):
         self.field = field
         self.tag = tag
         self.generator_names = tuple(generator_names)
         self.pole_orders = tuple(int(v) for v in pole_orders)
         self.affine_coords = np.asarray(affine_coords, dtype=np.uint16)
+        self.sides = dict(sides or {})
         assert self.affine_coords.shape[0] == len(self.generator_names)
         self.semigroup = NumericalSemigroup(self.pole_orders)
         self.genus = self.semigroup.genus
@@ -133,7 +136,7 @@ def sep_variable_curve(field, f_coeffs, g_coeffs, tag=None):
     coords = np.array(np.nonzero(gv[:, None] == fv[None, :]), dtype=np.uint16)  # (x, y) pairs, sorted
     if tag is None:
         tag = f"sep-gf{field.order}"
-    return PointedCurve(field, tag, ("x", "y"), (a, b), coords)
+    return PointedCurve(field, tag, ("x", "y"), (a, b), coords, sides={"x": ("y", f), "y": ("x", g)})
 
 
 def hyperelliptic_odd(field, f_coeffs, tag=None):
@@ -194,6 +197,7 @@ def suzuki_curve(q0, tag=None):
         ("x", "y", "z", "w"),
         (q, q + q0, q + 2 * q0, q + 2 * q0 + 1),
         coords,
+        sides={"x": ("y", [0, 1] + [0] * (q - 2) + [1])},  # y^q + y
     )
 
 
@@ -306,6 +310,30 @@ class EvaluationSet:
         """Coefficients of phi(t) = prod over U of (t - alpha): the function
         cutting out D as the fibration's totally split fibers."""
         return self.field.poly_with_roots(self.U)
+
+    def residue_twist(self):
+        """The twist x with C(mQ)^perp = x * C((n + 2g - 2 - m)Q), or None.
+
+        x_j is the residue at P_j of d(phi)/(F_y * h(phi)), h = prod over U of
+        (t - alpha), F_y the derivative of the curve's side for the fibration:
+        x_j = 1/(F_y(P_j) * h'(phi(P_j))), h'(alpha) = prod of (alpha - beta)
+        over the other beta in U.  Normalized to x_0 = 1; None when the curve
+        records no side for the fibration.
+        """
+        side = self.curve.sides.get(self.fibration)
+        if side is None:
+            return None
+        other, coeffs = side
+        F, U = self.field, np.array(self.U)
+        f_y = _poly_values(F, [F.mul(e % F.p, c) for e, c in enumerate(coeffs)][1:])  # the side's derivative
+        diffs = F.add_table[U[:, None], F.neg_table[U][None, :]]
+        np.fill_diagonal(diffs, 1)
+        h_prime = np.zeros(F.order, dtype=np.uint16)
+        h_prime[U] = F.exp[F.log[diffs].astype(np.int64).sum(axis=1) % (F.order - 1)]
+        y = self.coords[self.curve.generator_index(other)]
+        denominator = F.mul_table[f_y[y], h_prime[self.coords[self._fib_idx]]]
+        assert denominator.all(), "totally split fibers have no ramified point"
+        return F.mul_table[denominator[0], F.inv_table[denominator]]
 
     def kernel_functions(self, m):
         """Basis of ker(ev) on L(mQ): phi times a basis of L((m - n)Q).

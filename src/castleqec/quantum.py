@@ -272,7 +272,7 @@ def gv_status(n, k, d, q):
     """
     if not (n > k >= 2 and d >= 2 and (n - k) % 2 == 0):
         return "not-applicable", None
-    lhs = (q ** (n - k + 2) - 1) // (q * q - 1)
+    lhs, _ = gv_terms(n, k, 1, q)
     d_max = 1
     rhs = 0
     for dp in range(2, n + 2):

@@ -16,10 +16,10 @@ from castleqec.agcodes import (
     self_orthogonality_range,
 )
 from castleqec.codes import LinearCode
-from castleqec.curves import EvaluationSet, evaluation_set_from_json, sep_variable_curve
+from castleqec.curves import EvaluationSet, PointedCurve, evaluation_set_from_json, sep_variable_curve
 from castleqec.fields import GF
 from castleqec.linalg import rank
-from castleqec.quantum import scan_sequence
+from castleqec.quantum import level_step, scan_sequence
 from helpers import (
     elliptic_gf3,
     elliptic_gf4,
@@ -34,6 +34,7 @@ from helpers import (
     nt_gf8,
     ntq_gf16,
     suzuki8,
+    twisted_gf9,
 )
 
 SMALL = [suzuki8, elliptic_gf4, elliptic_gf9, elliptic_gf3, hermitian_gf9, hyper_even_45, ntq_gf16, nt_gf8]
@@ -72,7 +73,13 @@ def test_sequence_levels_are_onepoint_codes():
     assert seq.level_at_pole(8) == seq.level_at_pole(7)
 
 
-CURVE_FILES = sorted((Path(__file__).resolve().parent.parent / "curves").glob("*.json"))
+ROOT = Path(__file__).resolve().parent.parent
+CURVE_FILES = sorted((ROOT / "curves").glob("*.json"))
+TWISTED_FILES = sorted((ROOT / "tests" / "data" / "twisted").glob("*.json"))
+
+
+def _from_file(path):
+    return lambda: evaluation_set_from_json(json.loads(path.read_text()))
 
 
 @pytest.mark.parametrize("path", CURVE_FILES, ids=lambda p: p.stem)
@@ -135,8 +142,9 @@ def test_duality_certificate_self_dual(builder):
         lambda: evset(elliptic_gf3),
         lambda: evset(elliptic_gf9, fibration="y"),
         lambda: evset(elliptic_gf9, fibration="x"),
+        *[_from_file(path) for path in TWISTED_FILES],
     ],
-    ids=["elliptic_gf3", "elliptic_gf9_y", "elliptic_gf9_x"],
+    ids=["elliptic_gf3", "elliptic_gf9_y", "elliptic_gf9_x", *[path.stem for path in TWISTED_FILES]],
 )
 def test_duality_certificate_twisted(make):
     ev = make()
@@ -150,6 +158,96 @@ def test_duality_certificate_twisted(make):
     seq = CodeSequence(ev)
     for i in range(ev.n + 1):
         assert seq.level(i).dual() == seq.level(ev.n - i).star(cert.twist)
+
+
+def constrained_pair_gram_ok(ev, x):
+    """The oracle: <x * f_i, f_j> = 0 for every pair of basis functions duality constrains.
+
+    Pair (rho_i, rho_j) is constrained iff some dimension-set element m with
+    m <= n + 2g - 2 has rho_i <= m and rho_j <= n + 2g - 2 - m.
+    """
+    F, S = ev.field, ev.curve.semigroup
+    top = ev.n + 2 * S.genus - 2
+    ms = [m for m in S.dimension_set(ev.n) if m <= top]
+    poles, rows = ev.basis_rows(top)
+    limits = [max([top - m for m in ms if m >= rho], default=-1) for rho in poles]
+    constrained = np.asarray(poles)[None, :] <= np.asarray(limits)[:, None]
+    return not linalg.matmul(F, F.mul_table[rows, x[None, :]], rows.T)[constrained].any()
+
+
+def _fibred(builder, fibration, half=False):
+    def make():
+        ev = evset(builder, fibration=fibration)
+        return EvaluationSet(ev.curve, fibration, subset=ev.U[: len(ev.U) // 2]) if half else ev
+
+    return make
+
+
+ALL_CURVE_FILES = CURVE_FILES + sorted((ROOT / "perfbench" / "curves").glob("*.json"))
+TWIST_SETS = {
+    **{path.stem: _from_file(path) for path in ALL_CURVE_FILES + TWISTED_FILES},
+    "suzuki32": _from_file(ROOT / "tests" / "data" / "suzuki32.json"),
+    "elliptic_gf3": lambda: evset(elliptic_gf3),
+    **{
+        f"{builder.__name__}_{fibration}{'_half' if half else ''}": _fibred(builder, fibration, half)
+        for builder in (elliptic_gf9, hermitian_gf9, hermitian_gf16, hyper_even_45, nt_gf8, twisted_gf9)
+        for fibration in ("x", "y")
+        for half in (False, True)
+    },
+}
+
+
+@pytest.mark.parametrize("name", TWIST_SETS)
+def test_residue_twist_agrees_with_the_constrained_pair_gram_test(name):
+    ev = TWIST_SETS[name]()
+    cert, x = certify_duality(ev), ev.residue_twist()
+    ones = np.ones(ev.n, dtype=np.uint16)
+    if constrained_pair_gram_ok(ev, ones):
+        status, twist = "self-dual", None
+    else:
+        status, twist = ("formally-self-dual", x) if constrained_pair_gram_ok(ev, x) else ("unverified", None)
+    assert status != "unverified"
+    assert cert.status == status
+    assert (cert.twist is None and twist is None) or np.array_equal(cert.twist, twist)
+
+
+@pytest.mark.parametrize("path", ALL_CURVE_FILES + TWISTED_FILES, ids=lambda p: p.stem)
+def test_a_twist_with_one_entry_changed_fails_the_oracle_and_the_certificate(monkeypatch, path):
+    ev = _from_file(path)()
+    F, x = ev.field, ev.residue_twist()
+    bad = x.copy()
+    j = ev.n // 2
+    bad[j] = F.mul_table[x[j], F.exp[1]]
+    assert bad[j] not in (0, x[j])
+    assert constrained_pair_gram_ok(ev, x) and not constrained_pair_gram_ok(ev, bad)
+    monkeypatch.setattr(ev, "residue_twist", lambda: bad)
+    assert certify_duality(ev).status == "unverified"
+
+
+def test_certify_duality_is_one_product_against_the_top_code(monkeypatch):
+    calls = []
+    original = linalg.matmul
+
+    def spy(field, A, B):
+        calls.append((A.shape, B.shape))
+        return original(field, A, B)
+
+    monkeypatch.setattr(linalg, "matmul", spy)
+    monkeypatch.setattr(linalg, "kernel_basis", None)
+    ev = evset(hermitian_gf16, fibration="y")
+    g = ev.curve.genus
+    assert certify_duality(ev).status == "formally-self-dual"
+    assert calls == [((ev.n + g - 1, ev.n), (ev.n, 1))]  # l((n + 2g - 2)Q) = n + g - 1 rows
+
+
+def test_a_curve_without_a_side_for_its_fibration_is_unverified():
+    c = twisted_gf9()
+    ev = EvaluationSet(PointedCurve(c.field, c.tag, c.generator_names, c.pole_orders, c.affine_coords))
+    assert ev.residue_twist() is None
+    cert = certify_duality(ev)
+    assert cert.status == "unverified" and cert.twist is None
+    with pytest.raises(ValueError, match="duality certification failed for twisted-gf9"):
+        level_step(CodeSequence(ev), cert, "C")
 
 
 def test_self_dual_certificate_matches_explicit_duals():

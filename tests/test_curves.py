@@ -225,6 +225,29 @@ def test_evaluation_set_no_split_fibers():
         EvaluationSet(suzuki_curve(2), "t")
 
 
+@pytest.mark.parametrize(
+    "builder,fibration,derivative",
+    [
+        (hermitian_gf16, "y", lambda F, x, y: F.pow(x, 4)),  # y^4 + y = x^5: F_y = 5x^4 = x^4
+        (elliptic_gf3, "x", lambda F, x, y: F.mul(2, y)),  # y^2 = x^3 - x + 1: F_y = 2y
+    ],
+)
+def test_residue_twist_is_the_residue_formula_pointwise(builder, fibration, derivative):
+    ev = EvaluationSet(builder(), fibration)
+    F, fib = ev.field, ev.curve.generator_index(fibration)
+    want = []
+    for point in ev.points:
+        alpha = point[fib]
+        h_prime = 1
+        for beta in ev.U:
+            if beta != alpha:
+                h_prime = F.mul(h_prime, F.sub(alpha, beta))
+        want.append(F.inv(F.mul(derivative(F, *point), h_prime)))
+    want = [F.div(w, want[0]) for w in want]
+    assert ev.residue_twist().tolist() == want
+    assert len(set(want)) > 1
+
+
 def test_phi_vanishes_exactly_on_selected_points():
     c = elliptic_gf9()
     ev = EvaluationSet(c, "y")
