@@ -18,8 +18,9 @@ from .agcodes import (
     trace_code,
     trace_self_orthogonal_range,
 )
-from .codes import LinearCode, code_from_json, relative_min_weight, work_budget
+from .codes import LinearCode, relative_min_weight, work_budget
 from .curves import (
+    CATALOGUE,
     EvaluationSet,
     PointedCurve,
     curve_from_json,
@@ -48,9 +49,10 @@ from .quantum import (
     scan_sequence,
 )
 from .repro import run_all, run_target, target_ids
-from .semigroups import NumericalSemigroup, semigroup_from_json
+from .semigroups import NumericalSemigroup
 
 __all__ = [
+    "CATALOGUE",
     "GF",
     "CodeSequence",
     "DualityCertificate",
@@ -64,7 +66,6 @@ __all__ = [
     "QuantumParams",
     "UnsupportedFieldError",
     "certify_duality",
-    "code_from_json",
     "css_hermitian",
     "css_nested",
     "css_self_orthogonal",
@@ -86,7 +87,6 @@ __all__ = [
     "run_target",
     "scan_sequence",
     "self_orthogonality_range",
-    "semigroup_from_json",
     "sep_variable_curve",
     "suzuki_curve",
     "target_ids",

@@ -155,11 +155,6 @@ class CodeSequence:
             raise ValueError("C_0 is the zero code; it has no growth pole")
         return self.ms[i - 1]
 
-    def level_at_pole(self, m):
-        """The sequence member equal to C(mQ)."""
-        S = self.evset.curve.semigroup
-        return self.level(S.ell(m) - S.ell(m - self.n))
-
 
 class DualityCertificate:
     """Outcome of certify_duality: how C(mQ)^perp relates to C(m^perp Q).
@@ -167,12 +162,14 @@ class DualityCertificate:
     status "self-dual": C_i^perp == C_(n-i) exactly, twist is None.
     status "formally-self-dual": C_i^perp == x * C_(n-i) for the stored
     residue twist x, which is all nonzero and normalized to x[0] = 1.
-    status "unverified": the curve gives no twist, or the twist fails.
+    status "unverified": the curve gives no twist, or the twist fails; reason
+    says which check failed.
     """
 
-    def __init__(self, status, twist=None):
+    def __init__(self, status, twist=None, reason=None):
         self.status = status
         self.twist = twist
+        self.reason = reason
 
     def __repr__(self):
         return f"<duality {self.status}>"
@@ -197,11 +194,14 @@ def certify_duality(evset):
         lhs = S.ell(m) - S.ell(m - n)
         rhs = S.ell(top - m) - S.ell(top - m - n)
         if lhs + rhs != n:
-            return DualityCertificate("unverified")
+            return DualityCertificate("unverified", reason=f"dim C({m}Q) + dim C({top - m}Q) != n = {n}")
 
     x = evset.residue_twist()
-    if x is None or linalg.matmul(evset.field, evset.basis_rows(top)[1], x[:, None]).any():
-        return DualityCertificate("unverified")
+    if x is None:
+        reason = f"the curve records no side for fibration {evset.fibration}"
+        return DualityCertificate("unverified", reason=reason)
+    if linalg.matmul(evset.field, evset.basis_rows(top)[1], x[:, None]).any():
+        return DualityCertificate("unverified", reason=f"the residue twist is not orthogonal to C({top}Q)")
     if (x == 1).all():
         return DualityCertificate("self-dual")
     return DualityCertificate("formally-self-dual", x)

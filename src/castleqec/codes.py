@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from . import kernels, linalg
-from .fields import embedding, field_from_json, json_int, json_ints
+from .fields import embedding
 
 DEFAULT_BUDGET = 1 << 24
 MEMO_CODES = 128  # weight distributions kept, least recently used dropped first
@@ -145,14 +145,6 @@ class LinearCode:
             raise ValueError("scaling vector length mismatch")
         return LinearCode(self.field, self.n, self.field.mul_table[self.matrix, x[None, :]])
 
-    def star_product(self, other):
-        """Span of all coordinatewise products of codewords of the two codes."""
-        self._check_peer(other)
-        if self.dimension == 0 or other.dimension == 0:
-            return LinearCode.zero(self.field, self.n)
-        prods = self.field.mul_table[self.matrix[:, None, :], other.matrix[None, :, :]]
-        return LinearCode(self.field, self.n, prods.reshape(-1, self.n))
-
     def is_self_orthogonal(self, mode="euclidean"):
         """Whether C is contained in its (Euclidean or Hermitian) dual."""
         if self.dimension == 0:
@@ -208,29 +200,6 @@ class LinearCode:
             if w.coeff(j):
                 return j, "exact"
         raise AssertionError("nonzero code with no nonzero-weight word")
-
-    # -- serialization -----------------------------------------------------------
-
-    def to_json(self):
-        return {
-            "field": self.field.to_json(),
-            "n": self.n,
-            "k": self.dimension,
-            "generators": [[int(v) for v in row] for row in self.matrix],
-        }
-
-
-def code_from_json(obj):
-    try:
-        F = field_from_json(obj["field"])
-        n = json_int(obj["n"], "n")
-        gens = [json_ints(row, "generator entry") for row in obj["generators"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed code descriptor") from exc
-    C = LinearCode(F, n, gens)
-    if "k" in obj and json_int(obj["k"], "k") != C.dimension:
-        raise ValueError(f"descriptor claims dimension {obj['k']}, rows span {C.dimension}")
-    return C
 
 
 def relative_min_weight(sub, sup, budget=None):

@@ -10,7 +10,8 @@ orders for every family constructed here.
 
 An EvaluationSet picks the divisor D: it fixes a fibration function, keeps
 only totally split fibers, and orders the points canonically.  Riemann-Roch
-spaces L(mQ) get monomial bases indexed by pole order.
+spaces L(mQ) get monomial bases indexed by pole order.  CATALOGUE holds the
+descriptors of the named curves, one per file of curves/ and perfbench/curves/.
 """
 
 from __future__ import annotations
@@ -397,3 +398,50 @@ def evaluation_set_from_json(obj):
     curve = curve_from_json(obj)
     subset = None if obj.get("subset") is None else json_ints(obj["subset"], "subset")
     return EvaluationSet(curve, fibration=obj.get("fibration"), subset=subset)
+
+
+# -- the named curves -----------------------------------------------------------------
+
+# Every named curve, defined once: each entry is the descriptor its file in curves/
+# or perfbench/curves/ holds, and a test pins the two together.  The reproduction
+# manifest builds them with evaluation_set_from_json(CATALOGUE[name]).
+CATALOGUE = {
+    "elliptic-gf4": {  # y^2 + y = x^3
+        "family": "hypereven", "field": {"p": 2, "k": 2}, "params": {"f": [0, 0, 0, 1]}, "tag": "elliptic-gf4",
+    },
+    "elliptic-gf9": {  # y^2 = x^3 + x, fibred by y
+        "family": "sep", "field": {"p": 3, "k": 2}, "params": {"f": [0, 0, 1], "g": [0, 1, 0, 1]},
+        "tag": "elliptic-gf9", "fibration": "y",
+    },
+    "hermitian-gf9": {
+        "family": "sep", "field": {"p": 3, "k": 2}, "params": {"f": [0, 1, 0, 1], "g": [0, 0, 0, 0, 1]},
+        "tag": "hermitian-gf9",
+    },
+    "hermitian-gf16": {
+        "family": "sep", "field": {"p": 2, "k": 4}, "params": {"f": [0, 1, 0, 0, 1], "g": [0, 0, 0, 0, 0, 1]},
+        "tag": "hermitian-gf16",
+    },
+    "hyper-even-45": {  # y^2 + y = x^5
+        "family": "hypereven", "field": {"p": 2, "k": 4}, "params": {"f": [0, 0, 0, 0, 0, 1]},
+        "tag": "hyper-even-45",
+    },
+    "norm-trace-2-3-7": {"family": "ntq", "params": {"q": 2, "r": 3, "u": 7}, "tag": "norm-trace-2-3-7"},
+    "ntq-2-4-3": {"family": "ntq", "params": {"q": 2, "r": 4, "u": 3}, "tag": "ntq-2-4-3"},
+    "suzuki8": {"family": "suzuki", "params": {"q0": 2}, "tag": "suzuki8"},
+    "twisted-gf9": {  # y^2 = x^9 - x + 1: Castle, self-dual only up to a nonconstant twist
+        "family": "hyperodd", "field": {"p": 3, "k": 2}, "params": {"f": [1, 2, 0, 0, 0, 0, 0, 0, 0, 1]},
+        "tag": "twisted-gf9",
+    },
+    "maximal-2-6": {  # y^2 + y = x^9
+        "family": "hypereven", "field": {"p": 2, "k": 6}, "params": {"f": [0, 0, 0, 0, 0, 0, 0, 0, 0, 1]},
+        "tag": "maximal-2-6",
+    },
+    "maximal-gf64": {
+        "family": "sep", "field": {"p": 2, "k": 6},
+        "params": {"f": [0, 1, 1, 0, 1], "g": [0, 0, 0, 0, 0, 0, 0, 0, 0, 1]}, "tag": "maximal-gf64",
+    },
+    "maximal-gf81": {  # y^3 + y = a x^10, a = 28 the fifth power of the primitive element: a^9 + a = 0
+        "family": "sep", "field": {"p": 3, "k": 4},
+        "params": {"f": [0, 1, 0, 1], "g": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 28]}, "tag": "maximal-gf81",
+    },
+}

@@ -224,34 +224,11 @@ class Field:
             return False
         return p0 == self.p and self.k % j == 0
 
-    def frobenius(self, a, q0=None):
-        """a^q0 for a subfield order q0 (default p), the Galois generator over GF(q0)."""
-        if q0 is None:
-            q0 = self.p
-        if not self.is_subfield_order(q0):
-            raise ValueError(f"{q0} is not a subfield order of {self!r}")
-        return self.pow(a, q0)
-
     def sqrt_order(self):
         """sqrt(q) for a square order q: the hermitian conjugation exponent."""
         if self.k % 2:
             raise ValueError(f"hermitian duality needs a square field order, not {self.order}")
         return self.p ** (self.k // 2)
-
-    def is_square(self, a):
-        if self.p == 2 or a == 0:
-            return True
-        return int(self.log[a]) % 2 == 0
-
-    def sqrt(self, a):
-        if a == 0:
-            return 0
-        if self.p == 2:
-            return self.pow(a, self.order // 2)
-        t = int(self.log[a])
-        if t % 2:
-            raise ValueError(f"element {a} of {self!r} is not a square")
-        return int(self.exp[t // 2])
 
     def poly_with_roots(self, roots):
         """Coefficients of prod over roots c of (t - c), low degree first."""
@@ -393,18 +370,6 @@ class Embedding:
             acc = big.add_table[acc, t]
         self.trace_table = self.project_vec(acc)
 
-    def embed(self, x):
-        return int(self.fwd[x])
-
-    def in_image(self, x):
-        return self._back[x] >= 0
-
-    def project(self, x):
-        s = int(self._back[x])
-        if s < 0:
-            raise ValueError(f"element {x} of {self.big!r} is not in the image of {self.small!r}")
-        return s
-
     def project_vec(self, arr):
         s = self._back[arr]
         if (s < 0).any():
@@ -427,9 +392,6 @@ class Embedding:
     def decompose_vec(self, arr):
         """Coordinates over the small field in basis {alpha^j}: shape (ratio, len(arr))."""
         return self._coords[np.asarray(arr)].T
-
-    def decompose(self, x):
-        return tuple(int(v) for v in self._coords[x])
 
 
 _EMBEDDINGS = {}

@@ -109,18 +109,6 @@ def css_hermitian(code, budget=None):
     return _css(code.n, code.n - 2 * code.dimension, q, [(code, hdual)], "hermitian", budget)
 
 
-def _first_self_dual_failure(seq):
-    """Smallest pole order at which C(mQ)^perp != C(m'Q), for error reports."""
-    ev = seq.evset
-    top = ev.n + 2 * ev.curve.genus - 2
-    for i, m in enumerate(seq.ms, start=1):
-        if m > top:
-            break
-        if seq.level(i).dual() != seq.level(seq.n - i):
-            return m
-    return None
-
-
 def _twist_root(F, cert, qt):
     """y with y^(q~+1) = x entrywise for the certified twist x, or None.
 
@@ -195,14 +183,13 @@ def level_step(seq, cert, construction, budget=None):
     euclidean = construction == "C"
     q = F.order if euclidean else F.sqrt_order()
     if construction != "hermitian" and cert.status == "unverified":
-        raise ValueError(
-            f"duality certification failed for {ev.curve.tag}: "
-            f"first non-self-dual level at m={_first_self_dual_failure(seq)}"
-        )
+        raise ValueError(f"duality certification failed for {ev.curve.tag}: {cert.reason}")
     if construction == "A" and cert.status != "self-dual":
+        # a nonconstant twist x already separates C_1^perp = 1^perp from
+        # C_(n-1) = x^perp, so the flag fails at its first pole order
         raise ValueError(
             f"construction A needs an exactly self-dual sequence; "
-            f"{ev.curve.tag} first fails at m={_first_self_dual_failure(seq)}"
+            f"{ev.curve.tag} first fails at m={seq.ms[0]}"
         )
     y = _twist_root(F, cert, q) if construction == "B" else None
 

@@ -1,11 +1,12 @@
 """Built-in reproduction manifest: the published parameter tables as checkable rows.
 
 Each target lists its builds, (curve, construction, levels or pole orders)
-over one table of curves, and the expected [[n, k, d]]_q rows they give.
-build_rows runs construction C and the hermitian CSS through
-quantum.level_step, the per-level step of scan_sequence, and adds the two
-cases a scan does not cover: the euclidean CSS of C(mQ), and the trace and
-incomplete-trace descents.  Running a target rebuilds every quantum code
+over the named curves of curves.CATALOGUE, and the expected [[n, k, d]]_q
+rows they give.  build_rows runs construction C and the hermitian CSS
+through quantum.level_step, the per-level step of scan_sequence; on an
+exactly self-dual flag construction C at level i is the euclidean CSS of
+C_i <= C_i^perp.  It adds the two cases a scan does not cover, the trace
+and incomplete-trace descents.  Running a target rebuilds every quantum code
 from scratch and checks it against its expected row under that row's check
 mode:
 
@@ -25,21 +26,9 @@ values and the discrepancy is surfaced as a note.
 
 from dataclasses import dataclass, replace
 
-from .agcodes import (
-    CodeSequence,
-    OnePointCode,
-    certify_duality,
-    incomplete_trace_search,
-    trace_code,
-)
+from .agcodes import CodeSequence, certify_duality, incomplete_trace_search, trace_code
 from .codes import OverBudget
-from .curves import (
-    EvaluationSet,
-    hyperelliptic_even,
-    norm_trace_quotient,
-    sep_variable_curve,
-    suzuki_curve,
-)
+from .curves import CATALOGUE, evaluation_set_from_json
 from .fields import GF
 from .quantum import QuantumParams, css_self_orthogonal, gv_status, level_step
 
@@ -125,55 +114,22 @@ def check_row(row, params):
     return RowResult(row, params, status, tuple(failures), tuple(notes))
 
 
-# -- curves and builds ---------------------------------------------------------
-
-
-def _maximal_gf81():
-    F = GF(81)
-    a = int(F.exp[5])  # a^9 + a = 0 with a nonzero
-    return sep_variable_curve(F, [0, 1, 0, 1], [0] * 10 + [a], tag="maximal-gf81")
-
-
-# every curve the manifest builds on, as the evaluation set its rows use
-CURVES = {
-    "suzuki8": lambda: EvaluationSet(suzuki_curve(2)),
-    "elliptic-gf4": lambda: EvaluationSet(hyperelliptic_even(GF(4), [0, 0, 0, 1], tag="elliptic-gf4")),
-    "elliptic-gf9": lambda: EvaluationSet(
-        sep_variable_curve(GF(9), [0, 0, 1], [0, 1, 0, 1], tag="elliptic-gf9"), fibration="y"
-    ),
-    "hyper-even-45": lambda: EvaluationSet(
-        hyperelliptic_even(GF(16), [0, 0, 0, 0, 0, 1], tag="hyper-even-45")
-    ),
-    "ntq-2-4-3": lambda: EvaluationSet(norm_trace_quotient(2, 4, 3)),
-    "norm-trace-2-3-7": lambda: EvaluationSet(norm_trace_quotient(2, 3, 7)),
-    "hermitian-gf9": lambda: EvaluationSet(
-        sep_variable_curve(GF(9), [0, 1, 0, 1], [0, 0, 0, 0, 1], tag="hermitian-gf9")
-    ),
-    "hermitian-gf16": lambda: EvaluationSet(
-        sep_variable_curve(GF(16), [0, 1, 0, 0, 1], [0] * 5 + [1], tag="hermitian-gf16")
-    ),
-    "maximal-gf64": lambda: EvaluationSet(
-        sep_variable_curve(GF(64), [0, 1, 1, 0, 1], [0] * 9 + [1], tag="maximal-gf64")
-    ),
-    "maximal-gf81": lambda: EvaluationSet(_maximal_gf81()),
-    "maximal-2-6": lambda: EvaluationSet(hyperelliptic_even(GF(64), [0] * 9 + [1], tag="maximal-2-6")),
-}
+# -- builds --------------------------------------------------------------------
 
 
 def build_rows(builds, budget=None):
     """The quantum codes of a list of builds, one per level or pole order, in order.
 
-    A build (curve, construction, at) names a curve of CURVES and either
-    "C" at levels i, or "hermitian", "css" (the euclidean CSS of C(mQ)),
-    "trace" (the trace code down to the prime field) or "incomplete-trace"
-    (the incomplete-trace descent to GF(q~), q~^2 = q) at pole orders m.
-    A row whose build needs an exact distance that is over budget is its
-    OverBudget error instead.
+    A build (curve, construction, at) names a curve of curves.CATALOGUE and
+    either "C" at levels i, or "hermitian", "trace" (the trace code down to
+    the prime field) or "incomplete-trace" (the incomplete-trace descent to
+    GF(q~), q~^2 = q) at pole orders m.  A row whose build needs an exact
+    distance that is over budget is its OverBudget error instead.
     """
     out = []
     for curve, construction, at in builds:
-        ev = CURVES[curve]()
-        if construction in ("css", "trace", "incomplete-trace"):
+        ev = evaluation_set_from_json(CATALOGUE[curve])
+        if construction in ("trace", "incomplete-trace"):
             out += [_descent(ev, construction, m, budget) for m in at]
         else:
             out += _levels(ev, construction, at, budget)
@@ -194,9 +150,7 @@ def _levels(ev, construction, at, budget):
 
 
 def _descent(ev, construction, m, budget):
-    """The euclidean CSS of C(mQ), or of its trace or incomplete-trace descent."""
-    if construction == "css":
-        return css_self_orthogonal(OnePointCode(ev, m).code, budget)
+    """The euclidean CSS of the trace or incomplete-trace descent of C(mQ)."""
     if construction == "trace":
         code = trace_code(ev, m, GF(ev.field.p))
     else:
@@ -266,7 +220,7 @@ TARGETS = {
     ),
     "normtrace": ReproTarget(
         "Norm-trace quotients (2,4,3) and (2,3,7): hermitian and euclidean CSS.",
-        (("ntq-2-4-3", "hermitian", (0, 8)), ("norm-trace-2-3-7", "css", (4, 7, 14))),
+        (("ntq-2-4-3", "hermitian", (0, 8)), ("norm-trace-2-3-7", "C", (2, 3, 7))),
         (
             _row("quotient (2,4,3), m=0", 32, 30, 2, 4, "ddagger", "exact"),
             _row("quotient (2,4,3), m=8", 32, 24, 3, 4, "dagger", "exact"),
@@ -352,8 +306,9 @@ def run_all(budget=None):
 
 
 # -- hooks for perfbench/worker.py ---------------------------------------------
-# It runs these three runners with _maximal_rows replaced, to check that its
-# scan curve files build the evaluation sets of the maximal targets.
+# It runs these three runners with _maximal_rows replaced, to compare its scan
+# curve files with the evaluation sets of the maximal targets.  A test pins
+# those files to CATALOGUE; the benchmark reads these names, so they stay.
 
 
 def _maximal_rows(ev, poles, budget):
@@ -363,7 +318,7 @@ def _maximal_rows(ev, poles, budget):
 def _maximal_runner(identifier):
     def runner(budget):
         ((curve, _, poles),) = TARGETS[identifier].builds
-        return _maximal_rows(CURVES[curve](), poles, budget)
+        return _maximal_rows(evaluation_set_from_json(CATALOGUE[curve]), poles, budget)
 
     return runner
 

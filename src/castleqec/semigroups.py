@@ -12,8 +12,6 @@ import math
 
 import numpy as np
 
-from .fields import json_int, json_ints
-
 
 class NumericalSemigroup:
     def __init__(self, generators):
@@ -132,15 +130,6 @@ class NumericalSemigroup:
         lo = max(m + 1, 0)
         return max(1, int(self._nu[lo : 2 * c][self._member[lo : 2 * c]].min()))
 
-    # -- serialization --------------------------------------------------------------
-
-    def to_json(self):
-        return {
-            "generators": list(self.generators),
-            "genus": self.genus,
-            "gaps": list(self.gaps),
-        }
-
     def __repr__(self):
         return f"<{', '.join(map(str, self.generators))}>"
 
@@ -149,15 +138,3 @@ class NumericalSemigroup:
 
     def __hash__(self):
         return hash(self.generators)
-
-
-def semigroup_from_json(obj):
-    try:
-        S = NumericalSemigroup(json_ints(obj["generators"], "generators"))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed semigroup descriptor") from exc
-    if "genus" in obj and json_int(obj["genus"], "genus") != S.genus:
-        raise ValueError(f"descriptor claims genus {obj['genus']}, computed {S.genus}")
-    if "gaps" in obj and tuple(json_ints(obj["gaps"], "gaps")) != S.gaps:
-        raise ValueError("descriptor gap set does not match the generators")
-    return S

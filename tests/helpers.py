@@ -2,23 +2,20 @@
 
 from castleqec import codes, kernels
 from castleqec.codes import LinearCode
-from castleqec.curves import (
-    EvaluationSet,
-    hyperelliptic_even,
-    hyperelliptic_odd,
-    norm_trace_quotient,
-    sep_variable_curve,
-    suzuki_curve,
-)
+from castleqec.curves import CATALOGUE, EvaluationSet, curve_from_json, hyperelliptic_odd
 from castleqec.fields import GF
+
+# One builder per named curve of CATALOGUE, each with its own __name__: test
+# ids and the keys of per-curve tables come from it.  They build the curve
+# alone, so callers choose the fibration and the subset.
 
 
 def elliptic_gf4():
-    return hyperelliptic_even(GF(4), [0, 0, 0, 1], tag="elliptic-gf4")  # y^2 + y = x^3
+    return curve_from_json(CATALOGUE["elliptic-gf4"])
 
 
 def elliptic_gf9():
-    return sep_variable_curve(GF(9), [0, 0, 1], [0, 1, 0, 1], tag="elliptic-gf9")  # y^2 = x^3 + x
+    return curve_from_json(CATALOGUE["elliptic-gf9"])
 
 
 def elliptic_gf3():
@@ -26,46 +23,43 @@ def elliptic_gf3():
 
 
 def hermitian_gf9():
-    return sep_variable_curve(GF(9), [0, 1, 0, 1], [0, 0, 0, 0, 1], tag="hermitian-gf9")
+    return curve_from_json(CATALOGUE["hermitian-gf9"])
 
 
 def hermitian_gf16():
-    return sep_variable_curve(GF(16), [0, 1, 0, 0, 1], [0, 0, 0, 0, 0, 1], tag="hermitian-gf16")
+    return curve_from_json(CATALOGUE["hermitian-gf16"])
 
 
 def hyper_even_45():
-    return hyperelliptic_even(GF(16), [0, 0, 0, 0, 0, 1], tag="hyper-even-45")  # y^2 + y = x^5
+    return curve_from_json(CATALOGUE["hyper-even-45"])
 
 
 def maximal_gf81():
-    F = GF(81)
-    a = int(F.exp[5])  # satisfies a^9 + a = 0, a nonzero
-    return sep_variable_curve(F, [0, 1, 0, 1], [0] * 10 + [a], tag="maximal-gf81")
+    return curve_from_json(CATALOGUE["maximal-gf81"])
 
 
 def maximal_gf64():
-    return sep_variable_curve(GF(64), [0, 1, 1, 0, 1], [0] * 9 + [1], tag="maximal-gf64")
+    return curve_from_json(CATALOGUE["maximal-gf64"])
 
 
 def maximal_2_6():
-    return hyperelliptic_even(GF(64), [0] * 9 + [1], tag="maximal-2-6")
+    return curve_from_json(CATALOGUE["maximal-2-6"])
 
 
 def twisted_gf9():
-    # y^2 = x^9 - x + 1: Castle over GF(9), self-dual only up to a twist
-    return hyperelliptic_odd(GF(9), [1, 2] + [0] * 7 + [1], tag="twisted-gf9")
+    return curve_from_json(CATALOGUE["twisted-gf9"])
 
 
 def suzuki8():
-    return suzuki_curve(2)
+    return curve_from_json(CATALOGUE["suzuki8"])
 
 
 def ntq_gf16():
-    return norm_trace_quotient(2, 4, 3)
+    return curve_from_json(CATALOGUE["ntq-2-4-3"])
 
 
 def nt_gf8():
-    return norm_trace_quotient(2, 3, 7)
+    return curve_from_json(CATALOGUE["norm-trace-2-3-7"])
 
 
 def evset(builder, **kwargs):

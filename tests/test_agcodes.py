@@ -67,10 +67,11 @@ def test_sequence_structure():
 def test_sequence_levels_are_onepoint_codes():
     ev = evset(elliptic_gf4)
     seq = CodeSequence(ev)
-    for m in ev.dimension_set():
-        assert seq.level_at_pole(m) == OnePointCode(ev, m).code
+    for i, m in enumerate(ev.dimension_set(), start=1):
+        assert seq.level(i) == OnePointCode(ev, m).code
     # a pole between dimension jumps yields the same code as the jump below it
-    assert seq.level_at_pole(8) == seq.level_at_pole(7)
+    assert 8 not in seq.ms
+    assert OnePointCode(ev, 8).code == seq.level(seq.ms.index(7) + 1)
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -221,7 +222,9 @@ def test_a_twist_with_one_entry_changed_fails_the_oracle_and_the_certificate(mon
     assert bad[j] not in (0, x[j])
     assert constrained_pair_gram_ok(ev, x) and not constrained_pair_gram_ok(ev, bad)
     monkeypatch.setattr(ev, "residue_twist", lambda: bad)
-    assert certify_duality(ev).status == "unverified"
+    cert = certify_duality(ev)
+    top = ev.n + 2 * ev.curve.genus - 2
+    assert (cert.status, cert.reason) == ("unverified", f"the residue twist is not orthogonal to C({top}Q)")
 
 
 def test_certify_duality_is_one_product_against_the_top_code(monkeypatch):
@@ -246,8 +249,11 @@ def test_a_curve_without_a_side_for_its_fibration_is_unverified():
     assert ev.residue_twist() is None
     cert = certify_duality(ev)
     assert cert.status == "unverified" and cert.twist is None
-    with pytest.raises(ValueError, match="duality certification failed for twisted-gf9"):
-        level_step(CodeSequence(ev), cert, "C")
+    assert cert.reason == "the curve records no side for fibration x"
+    message = "duality certification failed for twisted-gf9: the curve records no side for fibration x"
+    for construction in ("A", "B", "C"):
+        with pytest.raises(ValueError, match=message):
+            level_step(CodeSequence(ev), cert, construction)
 
 
 def test_self_dual_certificate_matches_explicit_duals():

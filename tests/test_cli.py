@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from castleqec import cli
+from castleqec.agcodes import CodeSequence
 from helpers import count_enumerations
 
 CURVES = Path(__file__).resolve().parent.parent / "curves"
@@ -398,13 +399,18 @@ def test_main_calls_share_one_parser(tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
 
 
-def test_scan_a_rejects_twisted_sequences(capsys):
+def test_scan_a_rejects_twisted_sequences(capsys, monkeypatch):
+    """A nonconstant twist fails construction A at the first pole order, with no level built."""
+    built = []
+    original = CodeSequence.level
+    monkeypatch.setattr(CodeSequence, "level", lambda seq, i: built.append(i) or original(seq, i))
     code, _, err = run_cli(
         capsys, "scan", "--curve-file", TWISTED9, "--construction", "A"
     )
     assert code == 2
     assert "construction A needs an exactly self-dual sequence" in err
     assert "first fails at m=0" in err
+    assert built == []
 
 
 def test_scan_negative_max_i_exits_2(capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from castleqec.codes import (
     LinearCode,
-    code_from_json,
     krawtchouk,
     macwilliams_coefficient,
     relative_min_weight,
@@ -203,18 +202,6 @@ def test_star_preserves_weights(q):
         assert C.dual().star(x) == C.star(xinv).dual()
 
 
-def test_star_product():
-    F = GF(4)
-    rng = random.Random(3)
-    A = random_code(rng, 4, 2, 6)
-    B = random_code(rng, 4, 2, 6)
-    P = A.star_product(B)
-    for u in A.matrix:
-        for v in B.matrix:
-            assert P.contains_vector(F.mul_table[u, v])
-    assert A.star_product(LinearCode.zero(F, 6)).dimension == 0
-
-
 def test_frobenius_power():
     F = GF(9)
     rng = random.Random(8)
@@ -290,14 +277,3 @@ def test_delsarte_identity(q, q0):
         tr = C.dual().trace_code(small)
         assert sub == tr.dual()
         assert sub.dimension >= n - r * (n - C.dimension)
-
-
-def test_json_roundtrip():
-    rng = random.Random(21)
-    C = random_code(rng, 9, 3, 7)
-    obj = C.to_json()
-    assert obj["k"] == 3
-    assert code_from_json(obj) == C
-    obj["k"] = 2
-    with pytest.raises(ValueError):
-        code_from_json(obj)

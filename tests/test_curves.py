@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from castleqec.curves import (
+    CATALOGUE,
     EvaluationSet,
     curve_from_json,
     evaluation_set_from_json,
@@ -120,6 +121,16 @@ def test_basis_power_base_override():
 
 ROOT = Path(__file__).resolve().parent.parent
 CURVE_FILES = sorted(ROOT.glob("curves/*.json")) + sorted(ROOT.glob("perfbench/curves/*.json"))
+
+
+@pytest.mark.parametrize("path", CURVE_FILES, ids=lambda p: p.stem)
+def test_curve_file_is_its_catalogue_entry(path):
+    assert json.loads(path.read_text()) == CATALOGUE[path.stem]
+
+
+def test_every_catalogue_entry_has_a_curve_file():
+    assert sorted(path.stem for path in CURVE_FILES) == sorted(CATALOGUE)
+    assert len(CATALOGUE) == 12
 
 
 def box_walk_basis(curve, m, power_base=None):

@@ -4,6 +4,7 @@ import pytest
 
 from castleqec import quantum, repro
 from castleqec.agcodes import CodeSequence, certify_duality
+from castleqec.curves import CATALOGUE, evaluation_set_from_json
 from castleqec.quantum import QuantumParams, scan_sequence
 from castleqec.repro import (
     TAG_STATUS,
@@ -90,8 +91,8 @@ def test_builds_match_rows():
     for identifier, target in TARGETS.items():
         assert len(_row_constructions(target)) == len(target.rows), identifier
         for curve, construction, _ in target.builds:
-            assert curve in repro.CURVES
-            assert construction in ("C", "hermitian", "css", "trace", "incomplete-trace")
+            assert curve in CATALOGUE
+            assert construction in ("C", "hermitian", "trace", "incomplete-trace")
 
 
 def test_sequence_rows_come_from_the_scan_step(monkeypatch):
@@ -117,7 +118,7 @@ def test_sequence_rows_come_from_the_scan_step(monkeypatch):
             from_step = any(result.params is params for params in made)
             assert from_step == (construction in ("C", "hermitian")), (identifier, result.row.label)
     made.clear()
-    ev = repro.CURVES["elliptic-gf4"]()
+    ev = evaluation_set_from_json(CATALOGUE["elliptic-gf4"])
     scanned = scan_sequence(CodeSequence(ev), certify_duality(ev), "hermitian")
     assert [params for _, params in scanned] + [None] == made  # None: the gate closed
 
@@ -128,7 +129,7 @@ def test_sequence_rows_are_levels_of_the_scan():
         results = iter(run_target(identifier).results)
         for curve, construction, at in target.builds:
             rows = [next(results).params for _ in at]
-            ev = repro.CURVES[curve]()
+            ev = evaluation_set_from_json(CATALOGUE[curve])
             seq = CodeSequence(ev)
             levels = at if construction == "C" else [seq.ms.index(m) + 1 for m in at]
             scanned = dict(scan_sequence(seq, certify_duality(ev), construction, max_i=max(levels)))

@@ -61,7 +61,7 @@ def test_small_budget_gives_certified_bounds():
     rows = {
         "elliptic-gf9": ["nested pair, i=4", "nested pair, i=5", "nested pair, i=6", "nested pair, i=7"],
         "hyper-even": ["(q,u)=(4,5), m=5"],
-        "normtrace": ["quotient (2,4,3), m=8"],
+        "normtrace": ["quotient (2,4,3), m=8", "norm-trace (2,3,7), m=14"],
     }
     for identifier, labels in rows.items():
         results = {r.row.label: r for r in repro.run_target(identifier, budget=4096).results}

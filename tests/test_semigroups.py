@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from castleqec.curves import curve_from_json
-from castleqec.semigroups import NumericalSemigroup, semigroup_from_json
+from castleqec.semigroups import NumericalSemigroup
 
 
 def test_validation():
@@ -134,18 +134,6 @@ def test_order_bound_suzuki():
     for m in [0, 8, 13, 16, 23, 26, 40, 60]:
         brute = min(T.nu(s) for s in range(m + 1, m + 300) if T.contains(s))
         assert T.order_bound(m) == max(1, brute)
-
-
-def test_json_roundtrip():
-    S = NumericalSemigroup([8, 10, 12, 13])
-    obj = S.to_json()
-    assert obj["generators"] == [8, 10, 12, 13]
-    assert semigroup_from_json(obj) == S
-    obj["genus"] = 13
-    with pytest.raises(ValueError):
-        semigroup_from_json(obj)
-    with pytest.raises(ValueError):
-        semigroup_from_json({"generators": [2, 3], "gaps": [1, 5]})
 
 
 # -- the whole-array steps against the loops they replaced -------------------------
