@@ -40,15 +40,6 @@ class OverBudget(ValueError):
     """An exact distance that a construction cannot do without is over budget."""
 
 
-def in_budget(q, n, k, budget):
-    """Whether an [n, k]_q code's weights are exact within budget.
-
-    Enumeration visits q^k words, or q^(n-k) of the dual's: the cheaper
-    side decides, so a dual is worth building only when this holds.
-    """
-    return q ** min(k, n - k) <= budget
-
-
 class LinearCode:
     """An [n, k] linear code over a small finite field, canonically presented."""
 
@@ -222,6 +213,26 @@ def relative_min_weight(sub, sup, budget=None):
     raise AssertionError("strictly larger code with no extra weight")
 
 
+def normalizer_min_weight(code, budget=None):
+    """Smallest weight in N minus C for a CSS pair C <= N from C's weights alone, as (d, status).
+
+    Premise: N^perp has C's weights.  It holds for every self-orthogonal
+    pair the constructions build: N^perp is C, its Frobenius image C^[q~],
+    or x * C for a twist x with no zero entry.  So A(N) is the MacWilliams
+    transform of A(C), and one enumeration of C's q^k words gives both.
+    For 2k = n, N = C and d is the least nonzero weight of N.  Statuses as
+    relative_min_weight: "exact", or "not-computed" when q^k is over budget.
+    """
+    q, n, k = code.field.order, code.n, code.dimension
+    if q ** k > (work_budget() if budget is None else budget):
+        return None, "not-computed"
+    counts = _enumerated(code)
+    for j in range(1, n + 1):
+        if macwilliams_coefficient(n, q, counts, q ** k, j) > (counts[j] if 2 * k < n else 0):
+            return j, "exact"
+    raise AssertionError("a normalizer with no word outside its stabilizer")
+
+
 class _Weights:
     """Exact weight-distribution coefficients for one code, lazily.
 
@@ -235,7 +246,7 @@ class _Weights:
         q, n, k = code.field.order, code.n, code.dimension
         self.n, self.q = n, q
         self.mode = None
-        if not in_budget(q, n, k, budget):
+        if q ** min(k, n - k) > budget:  # enumeration visits q^k words, or q^(n-k) of the dual's
             return
         if q ** k <= budget:
             self.mode = "direct"

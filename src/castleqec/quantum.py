@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .agcodes import dual_distance_bound
-from .codes import LinearCode, in_budget, relative_min_weight, work_budget
+from .codes import normalizer_min_weight, relative_min_weight
 
 
 @dataclass
@@ -48,18 +48,15 @@ class QuantumParams:
         return QuantumParams(self.n, self.k, int(bound), self.q, "lower-bound", self.construction)
 
 
-def _css(n, k, q, sides, construction, budget):
-    """The CSS step behind every construction: parameters from stabilizer pairs.
+def _css(n, k, q, found, construction):
+    """The CSS step behind every construction: parameters from its sides.
 
-    sides yields (stabilizer, normalizer) pairs, the X side first and then
-    the Z side when it differs; d is the least weight of normalizer minus
-    stabilizer over them.  A side over budget leaves d uncomputed, so the
-    sides after it are never built; with no sides at all d stays None.  For
-    k = 0 the convention is the minimum weight of the normalizer.
+    found yields (d, status) per side, the X side first and then the Z side
+    when it differs; d is their least.  A side not computed leaves d
+    uncomputed, so the sides after it are never built.
     """
     d = None
-    for sub, sup in sides:
-        w, status = relative_min_weight(sub, sup, budget) if k else sup.min_weight(budget)
+    for w, status in found:
         if status != "exact":
             d = None
             break
@@ -67,10 +64,10 @@ def _css(n, k, q, sides, construction, budget):
     return QuantumParams(n, k, d, q, "exact" if d is not None else "lower-bound", construction)
 
 
-def _nested_sides(c1, c2):
-    """(C1, C2), then (C2^perp, C1^perp), whose duals are built only if asked for."""
-    yield c1, c2
-    yield c2.dual(), c1.dual()
+def _nested_sides(c1, c2, budget):
+    """d over C2 minus C1, then over C1^perp minus C2^perp, whose duals are built only if asked for."""
+    yield relative_min_weight(c1, c2, budget)
+    yield relative_min_weight(c2.dual(), c1.dual(), budget)
 
 
 def css_nested(c1, c2, budget=None, construction="css"):
@@ -84,29 +81,28 @@ def css_nested(c1, c2, budget=None, construction="css"):
     if not c1 <= c2:
         raise ValueError("CSS needs nested codes")
     k = c2.dimension - c1.dimension
-    if k == 0:
-        normalizer = c1.dual()  # C2^perp = C1^perp, the only side left
-        sides = [(normalizer, normalizer)]
-    else:
-        sides = _nested_sides(c1, c2)
-    return _css(c1.n, k, c1.field.order, sides, construction, budget)
+    found = _nested_sides(c1, c2, budget) if k else [c1.dual().min_weight(budget)]  # C2^perp = C1^perp
+    return _css(c1.n, k, c1.field.order, found, construction)
+
+
+def _stabilizer_css(code, q, construction, budget):
+    """The CSS code of stabilizer C in a normalizer N with C's weights on N^perp: d costs C's q^k words."""
+    n = code.n
+    return _css(n, n - 2 * code.dimension, q, [normalizer_min_weight(code, budget)], construction)
 
 
 def css_self_orthogonal(code, budget=None):
     """CSS code of a self-orthogonal C <= C^perp: [[n, n - 2k, wt(C^perp - C)]]_q."""
-    dual = code.dual()
-    if not code <= dual:
+    if not code.is_self_orthogonal():
         raise ValueError("code is not self-orthogonal")
-    return _css(code.n, code.n - 2 * code.dimension, code.field.order, [(code, dual)], "css", budget)
+    return _stabilizer_css(code, code.field.order, "css", budget)
 
 
 def css_hermitian(code, budget=None):
     """Hermitian construction: C <= C^perpH over F_{q~^2} gives [[n, n-2k]]_{q~}."""
-    hdual = code.hermitian_dual()
-    if not code <= hdual:
+    if not code.is_self_orthogonal("hermitian"):
         raise ValueError("code is not hermitian self-orthogonal")
-    q = code.field.sqrt_order()
-    return _css(code.n, code.n - 2 * code.dimension, q, [(code, hdual)], "hermitian", budget)
+    return _stabilizer_css(code, code.field.sqrt_order(), "hermitian", budget)
 
 
 def _twist_root(F, cert, qt):
@@ -137,17 +133,6 @@ def _in_certified_partner(level, twist):
     return not linalg.matmul(level.field, _twisted_rows(level, twist), level.matrix.T).any()
 
 
-def _certified_partner(level, twist):
-    """C_(n-i) = x^-1 * C_i^perp, read off the duality certificate.
-
-    v lies in x^-1 * C_i^perp iff x * v is orthogonal to C_i, so the partner
-    is the kernel of the i x n matrix G diag(x): one kernel, never the
-    n - i rows of the sequence itself.
-    """
-    F, n = level.field, level.n
-    return LinearCode.from_rref(F, n, linalg.kernel_basis(F, _twisted_rows(level, twist), n))
-
-
 def level_step(seq, cert, construction, budget=None):
     """The per-level step of a sequence construction.
 
@@ -167,14 +152,15 @@ def level_step(seq, cert, construction, budget=None):
     C_(n-i) = C_i^perp, i + q(i) <= n says C_i^[q~] <= C_i^perp, which is
     C_i <= C_i^perpH.  Every gate is one i x i Gram product.
 
-    A step builds only the codes its row reads, and asks the sequence for
-    no level but C_i.  C_(n-i) is the certified dual x^-1 * C_i^perp, and
-    C_i <= C_(n-i) says x * C_i is orthogonal to C_i.  The Z side
-    (C_(n-i)^perp, C_i^perp) = x * (C_i, C_(n-i)) has the X side's weights,
-    so the X side alone gives d.  The partner, C_(n-i) or C_i^perpH, is
-    built only when in_budget says its weights will be read.  step(0) is
-    the trivial [[n, n, 1]] code.  Distances are exact when in budget, else
-    the certified lower bound on d(C_i^perp).
+    A step builds no code but C_i, and asks the sequence for no other
+    level.  C_(n-i) is the certified dual x^-1 * C_i^perp, and C_i <= C_(n-i)
+    says x * C_i is orthogonal to C_i.  The Z side (C_(n-i)^perp, C_i^perp)
+    = x * (C_i, C_(n-i)) has the X side's weights, so the X side alone gives
+    d.  The partner, C_(n-i) or C_i^perpH, is never built: its dual, x * C_i
+    or C_i^[q~], has C_i's weights, so its own are their MacWilliams
+    transform.  step(0) is the trivial [[n, n, 1]] code.  Distances are
+    exact when C_i's q^i words are in budget, else the certified lower
+    bound on d(C_i^perp).
     """
     if construction not in ("A", "B", "C", "hermitian"):
         raise ValueError(f"unknown construction {construction!r}")
@@ -204,12 +190,7 @@ def level_step(seq, cert, construction, budget=None):
                 raise ValueError(f"{ev.curve.tag}: C_{i} is not in its certified partner C_{n - i}")
         elif not level.is_self_orthogonal("hermitian"):
             return None
-        b = work_budget() if budget is None else budget
-        sides = []
-        if in_budget(F.order, n, i, b):
-            partner = _certified_partner(level, cert.twist) if euclidean else level.hermitian_dual()
-            sides = [(level, partner)]
-        params = _css(n, n - 2 * i, q, sides, construction, b)
+        params = _stabilizer_css(level, q, construction, budget)
         return params.with_bound(dual_distance_bound(ev, seq.pole_of_level(i), cert))
 
     return step

@@ -245,7 +245,7 @@ def test_scan_max_i_zero_gives_only_the_trivial_row(capsys):
     assert [r["i"] for r in json_rows(out)] == [0]
 
 
-def test_scan_hermitian_computes_each_hermitian_dual_once(capsys, monkeypatch):
+def test_scan_hermitian_builds_no_hermitian_dual(capsys, monkeypatch):
     from castleqec.codes import LinearCode
 
     original = LinearCode.hermitian_dual
@@ -259,8 +259,8 @@ def test_scan_hermitian_computes_each_hermitian_dual_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "scan", "--curve-file", HYPER45, "--construction", "hermitian")
     assert code == 0
     assert len(json_rows(out)) == 6
-    # levels 1-5 give rows; level 6 fails the Gram gate, which needs no dual
-    assert visited == [1, 2, 3, 4, 5]
+    # levels 1-5 give rows from C_i's weights alone; level 6 fails the Gram gate
+    assert visited == []
 
 
 def test_scan_construction_c_enumerates_each_code_once(capsys, monkeypatch):

@@ -9,25 +9,30 @@ from castleqec.agcodes import (
     OnePointCode,
     certify_duality,
     incomplete_trace_search,
+    trace_code,
 )
-from castleqec.codes import LinearCode
+from castleqec.codes import LinearCode, normalizer_min_weight, relative_min_weight
 from castleqec.curves import evaluation_set_from_json
 from castleqec.fields import GF
 from castleqec.quantum import (
     QuantumParams,
-    _certified_partner,
     _in_certified_partner,
+    _twist_root,
+    _twisted_rows,
     css_hermitian,
     css_nested,
     css_self_orthogonal,
     gv_status,
+    level_step,
     scan_sequence,
 )
 from helpers import (
+    count_enumerations,
     elliptic_gf4,
     elliptic_gf9,
     evset,
     hermitian_gf9,
+    hermitian_gf16,
     hyper_even_45,
     ntq_gf16,
     suzuki8,
@@ -235,6 +240,17 @@ def load(path):
     return evaluation_set_from_json(json.loads(Path(path).read_text()))
 
 
+def certified_partner(level, twist):
+    """C_(n-i) = x^-1 * C_i^perp, read off the duality certificate.
+
+    v lies in x^-1 * C_i^perp iff x * v is orthogonal to C_i, so the partner
+    is the kernel of the i x n matrix G diag(x): one kernel, never the
+    n - i rows of the sequence itself.
+    """
+    F, n = level.field, level.n
+    return LinearCode.from_rref(F, n, linalg.kernel_basis(F, _twisted_rows(level, twist), n))
+
+
 @pytest.mark.parametrize("path", CURVE_FILES, ids=lambda p: p.stem)
 def test_certified_partner_is_the_sequence_level(path):
     ev = load(path)
@@ -244,7 +260,7 @@ def test_certified_partner_is_the_sequence_level(path):
     seq, n = CodeSequence(ev), ev.n
     for i in range(1, n // 2 + 1):
         level, partner = seq.level(i), seq.level(n - i)
-        assert _certified_partner(level, cert.twist) == partner
+        assert certified_partner(level, cert.twist) == partner
         assert partner.contains_code(level) and _in_certified_partner(level, cert.twist)
     # past n/2 the Gram test refuses, as containment does
     above, below = seq.level(n // 2 + 1), seq.level(n - n // 2 - 1)
@@ -284,3 +300,94 @@ def test_a_one_level_c_scan_keeps_two_levels():
     rows = scan_sequence(seq, certify_duality(ev), "C", budget=1, max_i=1)
     assert [i for i, _ in rows] == [0, 1]
     assert len(seq._levels) <= 2
+
+
+# -- the normalizer's weights are the MacWilliams transform of the stabilizer's --
+
+ORACLE_FILES = CURVE_FILES + sorted(ROOT.glob("tests/data/twisted/*.json"))
+ORACLE_BUDGET = 1 << 16
+
+
+def partner_distance(code, partner, budget):
+    """d of the CSS pair code <= partner from both weight distributions: the oracle."""
+    if 2 * code.dimension == code.n:
+        return partner.min_weight(budget)[0]
+    return relative_min_weight(code, partner, budget)[0]
+
+
+@pytest.mark.parametrize("path", ORACLE_FILES, ids=lambda p: p.stem)
+def test_a_distance_from_the_stabilizer_alone_matches_the_built_partner(monkeypatch, path):
+    monkeypatch.setenv("CASTLEQEC_BUDGET", str(ORACLE_BUDGET))
+    ev = load(path)
+    seq, cert, F = CodeSequence(ev), certify_duality(ev), ev.field
+    top = max(i for i in range(ev.n + 1) if F.order**i <= ORACLE_BUDGET)  # the levels in budget
+    checked = 0
+    for construction in ("A", "B", "C", "hermitian"):
+        try:
+            rows = scan_sequence(seq, cert, construction, max_i=top)[1:]
+        except ValueError:
+            continue  # the construction does not apply to this flag or field
+        q = F.order if construction == "C" else F.sqrt_order()
+        y = _twist_root(F, cert, q) if construction == "B" else None
+        for i, p in rows:
+            level = seq.level(i) if y is None else seq.level(i).star(y)
+            if construction == "C":
+                partner = certified_partner(level, cert.twist)
+            else:
+                partner = level.hermitian_dual()
+                assert css_hermitian(level).d == p.d
+            assert p.d_provenance == "exact"
+            assert p.d == partner_distance(level, partner, ORACLE_BUDGET)
+            checked += 1
+    assert checked
+
+
+def degenerate_code():
+    """C = <110000000> + (0, 0, simplex [7, 3, 4]): N = C^perp has a weight-2
+    word, and it lies in C; N minus C starts at the Hamming code's 3."""
+    simplex = [[0, 0, 0, 1, 1, 1, 1], [0, 1, 1, 0, 0, 1, 1], [1, 0, 1, 0, 1, 0, 1]]
+    return LinearCode(GF(2), 9, [[1, 1] + [0] * 7] + [[0, 0] + r for r in simplex])
+
+
+def self_orthogonal_rows():
+    """The codes of the reproduction's trace and incomplete-trace rows, and a degenerate code."""
+    yield from (trace_code(evset(suzuki8), m, GF(2)) for m in (0, 10))
+    for builder, m in [(elliptic_gf4, 3), (hermitian_gf9, 4), (hermitian_gf16, 5)]:
+        ev = evset(builder)
+        yield incomplete_trace_search(ev, m, GF(ev.field.sqrt_order()))[0]
+    yield degenerate_code()
+
+
+def test_self_orthogonal_distances_from_the_code_alone_match_its_built_dual():
+    for code in self_orthogonal_rows():
+        p = css_self_orthogonal(code, ORACLE_BUDGET)
+        assert p.d_provenance == "exact"
+        assert p.d == partner_distance(code, code.dual(), ORACLE_BUDGET)
+
+
+def test_a_degenerate_code_keeps_its_stabilizer_words_out_of_d():
+    code = degenerate_code()
+    assert code.dual().min_weight() == (2, "exact")
+    p = css_self_orthogonal(code)
+    assert (p.n, p.k, p.d) == (9, 1, 3)
+    # the budget counts the stabilizer's 2^4 words, not the normalizer's 2^5
+    assert normalizer_min_weight(code, 16) == (3, "exact")
+    assert normalizer_min_weight(code, 15) == (None, "not-computed")
+
+
+def test_a_c_level_in_budget_enumerates_once_and_builds_no_dual(monkeypatch):
+    ev = load(ROOT / "curves/elliptic-gf9.json")
+    seq, cert = CodeSequence(ev), certify_duality(ev)
+    assert cert.status == "formally-self-dual"  # x != 1: the partner's dual was a second code
+    step = level_step(seq, cert, "C", budget=1 << 16)
+    seen, kernels_taken = count_enumerations(monkeypatch), []
+    original = linalg.kernel_basis
+
+    def spy(*args, **kwargs):
+        kernels_taken.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "kernel_basis", spy)
+    p = step(4)
+    assert (p.k, p.d_provenance) == (ev.n - 8, "exact")
+    assert seen == [(4, ev.n)] and kernels_taken == []

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from castleqec import cli, repro
+from helpers import count_enumerations
 
 DATA = Path(__file__).resolve().parent / "data" / "reproduce_digest.json"
 BUDGET = str(1 << 23)
@@ -37,6 +38,14 @@ def digest():
 def test_reproduce_output_is_pinned(monkeypatch):
     monkeypatch.setenv("CASTLEQEC_BUDGET", BUDGET)
     assert digest() == json.loads(DATA.read_text())
+
+
+def test_reproduction_enumerates_no_partner_code(monkeypatch):
+    """Each CSS distance enumerates its stabilizer alone: 26 codes, 34 with the partners built."""
+    monkeypatch.setenv("CASTLEQEC_BUDGET", BUDGET)
+    seen = count_enumerations(monkeypatch)
+    assert reproduce_all()[0] == 0
+    assert len(seen) <= 26
 
 
 def test_budget_1_fails_rows_instead_of_the_run(monkeypatch):
