@@ -269,7 +269,7 @@ def test_scan_construction_c_enumerates_each_code_once(capsys, monkeypatch):
         capsys, "scan", "--curve-file", SUZUKI, "--construction", "C", "--max-i", "6"
     )
     assert code == 0 and len(json_rows(out)) == 7
-    # C_i^perp = C_(n-i): the Z side and the MacWilliams side reuse C_i's counts
+    # one enumeration per level: the partner's weights are the MacWilliams transform of C_i's
     assert seen == [(i, 64) for i in range(1, 7)]
 
 

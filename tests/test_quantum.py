@@ -378,7 +378,7 @@ def test_a_degenerate_code_keeps_its_stabilizer_words_out_of_d():
 def test_a_c_level_in_budget_enumerates_once_and_builds_no_dual(monkeypatch):
     ev = load(ROOT / "curves/elliptic-gf9.json")
     seq, cert = CodeSequence(ev), certify_duality(ev)
-    assert cert.status == "formally-self-dual"  # x != 1: the partner's dual was a second code
+    assert cert.status == "formally-self-dual"  # x != 1: the partner's dual x * C_4 is not C_4
     step = level_step(seq, cert, "C", budget=1 << 16)
     seen, kernels_taken = count_enumerations(monkeypatch), []
     original = linalg.kernel_basis
