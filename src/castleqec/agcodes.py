@@ -118,24 +118,21 @@ def goppa_bound(evset, m):
 class CodeSequence:
     """The complete flag C_0 < C_1 < ... < C_n with C_i = C(m_i Q).
 
-    The basis functions in pole order that enlarge the span are the rank
-    profile of their evaluation rows, read off one rref of the transpose;
-    their poles are exactly the dimension set of the semigroup.  Levels are
-    built lazily: the accumulator inserts those n rows only up to the
-    highest level asked for, keeping the canonical RREF of each level it
-    passes.
+    D is the zero divisor of h(phi), whose pole divisor is nQ, so evaluation
+    on L(mQ) has kernel h(phi) L((m - n)Q) and the flag grows exactly at the
+    dimension set of the semigroup: level i adds the basis function with
+    pole m_i.  Levels are built lazily: each one evaluates its function and
+    inserts the row into an accumulator, keeping the canonical RREF of every
+    level it passes, and a row that fails to enlarge the span is an error.
     """
 
     def __init__(self, evset):
         self.evset = evset
-        n = evset.n
         self.ms = evset.dimension_set()
-        poles, rows = evset.basis_rows(self.ms[-1])
-        _, grew = linalg.rref(evset.field, rows.T)
-        assert [poles[j] for j in grew] == self.ms, "dimension jumps must match the semigroup's dimension set"
-        self._basis = rows[list(grew)]
-        self._acc = linalg.RREFAccumulator(evset.field, n)
-        self._levels = [LinearCode.zero(evset.field, n)]
+        exponents = dict(evset.curve.basis_exponents(self.ms[-1]))
+        self._exponents = [exponents[m] for m in self.ms]
+        self._acc = linalg.RREFAccumulator(evset.field, evset.n)
+        self._levels = [LinearCode.zero(evset.field, evset.n)]
 
     @property
     def n(self):
@@ -145,7 +142,9 @@ class CodeSequence:
         """The i-dimensional member C_i."""
         acc = self._acc
         while len(self._levels) <= i:
-            acc.insert(self._basis[acc.dimension])
+            j = acc.dimension
+            if not acc.insert(self.evset.monomial_rows([self._exponents[j]])[0]):
+                raise AssertionError(f"{self.evset.curve.tag}: level {j + 1} does not grow at pole {self.ms[j]}")
             self._levels.append(LinearCode.from_rref(acc.field, acc.n, acc.snapshot(), acc.pivots))
         return self._levels[i]
 

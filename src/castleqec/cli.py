@@ -1,8 +1,8 @@
 """Command-line front end: build codes, reproduce published tables, scan, classify.
 
-Exit codes: 0 success, 1 reproduction failure, 2 bad input, 3 unsupported
-field.  Output is deterministic json-lines by default; --format csv mirrors
-the same columns.  The enumeration budget honours CASTLEQEC_BUDGET.
+Exit codes: 0 success, 1 reproduction failure, 2 bad input or out of memory,
+3 unsupported field.  Output is deterministic json-lines by default; --format
+csv mirrors the same columns.  The enumeration budget honours CASTLEQEC_BUDGET.
 """
 
 import argparse
@@ -213,6 +213,9 @@ def main(argv=None):
         return 3
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the array's shape and bytes
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

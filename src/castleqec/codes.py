@@ -63,7 +63,7 @@ class LinearCode:
 
     @classmethod
     def zero(cls, field, n):
-        return cls(field, n)
+        return cls.from_rref(field, n, np.zeros((0, n), dtype=np.uint16), ())
 
     @classmethod
     def full(cls, field, n):

@@ -18,7 +18,6 @@ from castleqec.agcodes import (
 from castleqec.codes import LinearCode
 from castleqec.curves import EvaluationSet, PointedCurve, evaluation_set_from_json, sep_variable_curve
 from castleqec.fields import GF
-from castleqec.linalg import rank
 from castleqec.quantum import level_step, scan_sequence
 from helpers import (
     elliptic_gf3,
@@ -76,27 +75,28 @@ def test_sequence_levels_are_onepoint_codes():
 
 ROOT = Path(__file__).resolve().parent.parent
 CURVE_FILES = sorted((ROOT / "curves").glob("*.json"))
+ALL_CURVE_FILES = CURVE_FILES + sorted((ROOT / "perfbench" / "curves").glob("*.json"))
 TWISTED_FILES = sorted((ROOT / "tests" / "data" / "twisted").glob("*.json"))
+SUZUKI32 = ROOT / "tests" / "data" / "suzuki32.json"
 
 
 def _from_file(path):
     return lambda: evaluation_set_from_json(json.loads(path.read_text()))
 
 
-@pytest.mark.parametrize("path", CURVE_FILES, ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", ALL_CURVE_FILES + TWISTED_FILES + [SUZUKI32], ids=lambda p: p.stem)
 def test_sequence_levels_are_the_first_independent_basis_rows(path):
-    ev = evaluation_set_from_json(json.loads(path.read_text()))
+    ev = _from_file(path)()
     F, n = ev.field, ev.n
     poles, rows = ev.basis_rows(ev.dimension_set()[-1])
-    kept, kept_poles = [], []
-    for rho, row in zip(poles, rows):  # one rank test per row: the oracle
-        if rank(F, np.array(kept + [row]), n) > len(kept):
-            kept.append(row)
-            kept_poles.append(rho)
-    assert kept_poles == ev.dimension_set() and len(kept) == n
+    _, grew = linalg.rref(F, rows.T)  # the rank profile of all n + g basis rows: the oracle
+    assert [poles[j] for j in grew] == ev.dimension_set()
     seq = CodeSequence(ev)
-    for i in range(n + 1):
-        assert seq.level(i) == LinearCode(F, n, np.array(kept[:i], dtype=np.uint16).reshape(i, n))
+    acc = linalg.RREFAccumulator(F, n)  # its snapshot is the rref of the rows inserted so far
+    assert seq.level(0).dimension == 0
+    for i in range(1, (40 if path == SUZUKI32 else n) + 1):
+        assert acc.insert(rows[grew[i - 1]])
+        assert seq.level(i) == LinearCode.from_rref(F, n, acc.snapshot(), acc.pivots)
 
 
 @pytest.mark.parametrize("construction,max_i", [("hermitian", 3), ("A", 2), ("C", 0)])
@@ -184,10 +184,9 @@ def _fibred(builder, fibration, half=False):
     return make
 
 
-ALL_CURVE_FILES = CURVE_FILES + sorted((ROOT / "perfbench" / "curves").glob("*.json"))
 TWIST_SETS = {
     **{path.stem: _from_file(path) for path in ALL_CURVE_FILES + TWISTED_FILES},
-    "suzuki32": _from_file(ROOT / "tests" / "data" / "suzuki32.json"),
+    "suzuki32": _from_file(SUZUKI32),
     "elliptic_gf3": lambda: evset(elliptic_gf3),
     **{
         f"{builder.__name__}_{fibration}{'_half' if half else ''}": _fibred(builder, fibration, half)
@@ -363,3 +362,38 @@ def test_range_is_certified_by_containment():
     nxt = min(mm for mm in ev.dimension_set() if mm > m)
     above = OnePointCode(ev, nxt).code
     assert not above <= above.dual()
+
+
+# -- the flag without an elimination, and the bounds against exact distances -------
+
+
+def test_a_sequence_and_its_levels_run_no_elimination(monkeypatch):
+    ev = evset(hermitian_gf16)
+    calls = []
+    original = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda *args: calls.append(1) or original(*args))
+    seq = CodeSequence(ev)
+    for i in (0, 1, 5, 12):
+        seq.level(i)
+    assert calls == []
+
+
+def test_a_level_that_does_not_grow_is_an_error():
+    ev = evset(elliptic_gf4)
+    seq = CodeSequence(ev)
+    seq._exponents[2] = seq._exponents[1]  # level 3 repeats the function of level 2
+    seq.level(2)
+    with pytest.raises(AssertionError, match=f"elliptic-gf4: level 3 does not grow at pole {seq.ms[2]}"):
+        seq.level(3)
+
+
+@pytest.mark.parametrize("path", ALL_CURVE_FILES + TWISTED_FILES, ids=lambda p: p.stem)
+def test_the_certified_dual_distance_bound_never_exceeds_the_exact_distance(path):
+    ev = _from_file(path)()
+    seq, cert = CodeSequence(ev), certify_duality(ev)
+    levels = [i for i in range(1, ev.n) if ev.field.order ** i <= 2 ** 16]
+    assert levels
+    for i in levels:
+        d, status = seq.level(i).dual().min_weight(2 ** 16)
+        assert status == "exact"
+        assert dual_distance_bound(ev, seq.pole_of_level(i), cert) <= d

@@ -273,11 +273,20 @@ def test_phi_vanishes_exactly_on_selected_points():
         assert (val == 0) == (t in ev.U)
 
 
-@pytest.mark.parametrize("make,fib", [(suzuki_curve, None), (elliptic_gf9, "y")])
-def test_kernel_functions(make, fib):
-    curve = make(2) if make is suzuki_curve else make()
-    ev = EvaluationSet(curve, fib) if fib else EvaluationSet(curve)
-    n, g = ev.n, curve.genus
+KERNEL_SETS = [
+    pytest.param(lambda: EvaluationSet(suzuki_curve(2)), id="suzuki_curve-None"),
+    pytest.param(lambda: EvaluationSet(elliptic_gf9(), "y"), id="elliptic_gf9-y"),
+] + [
+    pytest.param(lambda path=path: evaluation_set_from_json(json.loads(path.read_text())), id=path.stem)
+    for path in CURVE_FILES + sorted(ROOT.glob("tests/data/twisted/*.json"))
+]
+
+
+@pytest.mark.parametrize("make", KERNEL_SETS)
+def test_kernel_functions(make):
+    """ker(ev) on L(mQ) is h(phi) L((m - n)Q): the reason the flag grows at the dimension set."""
+    ev = make()
+    n, g = ev.n, ev.curve.genus
     assert ev.kernel_functions(n - 1) == []
     for m in [n, n + 3, n + 2 * g + 1]:
         funcs = ev.kernel_functions(m)

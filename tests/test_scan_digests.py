@@ -1,8 +1,9 @@
 """Byte identity of `scan --format csv` on every curve file and construction.
 
-The curve files are those in curves/ plus those in data/twisted/, whose
-flags are self-dual only up to a nonconstant twist.  The digests in data/scan_digests.json pin the stdout and the exit code of
-each command at budget 1 (bound mode: the linear algebra runs, no word is
+The curve files are those in curves/ and perfbench/curves/, plus those in
+data/twisted/, whose flags are self-dual only up to a nonconstant twist.  The
+digests in data/scan_digests.json pin the stdout and the exit code of each
+command at budget 1 (bound mode: the linear algebra runs, no word is
 enumerated).  Re-record them only for an intended output change:
 
     PYTHONPATH=src python tests/test_scan_digests.py --record
@@ -23,9 +24,11 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data" / "scan_digests.json"
 TWISTED = DATA.parent / "twisted"
 CONSTRUCTIONS = ("A", "B", "C", "hermitian")
-FILES = {path.name: path for path in sorted((ROOT / "curves").glob("*.json"))} | {
-    f"twisted/{path.name}": path for path in sorted(TWISTED.glob("*.json"))
-}
+FILES = (
+    {path.name: path for path in sorted((ROOT / "curves").glob("*.json"))}
+    | {f"perfbench/{path.name}": path for path in sorted((ROOT / "perfbench" / "curves").glob("*.json"))}
+    | {f"twisted/{path.name}": path for path in sorted(TWISTED.glob("*.json"))}
+)
 CASES = [(curve, c) for curve in FILES for c in CONSTRUCTIONS]
 
 
