@@ -14,9 +14,7 @@ from .agcodes import (
     goppa_bound,
     incomplete_trace_search,
     order_bound,
-    self_orthogonality_range,
     trace_code,
-    trace_self_orthogonal_range,
 )
 from .codes import LinearCode, relative_min_weight, work_budget
 from .curves import (
@@ -86,12 +84,10 @@ __all__ = [
     "run_all",
     "run_target",
     "scan_sequence",
-    "self_orthogonality_range",
     "sep_variable_curve",
     "suzuki_curve",
     "target_ids",
     "trace_code",
-    "trace_self_orthogonal_range",
     "work_budget",
 ]
 

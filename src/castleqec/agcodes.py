@@ -3,7 +3,7 @@
 Central objects: the code C(mQ) = ev(L(mQ)) on an evaluation set, the full
 nested sequence C_0 < C_1 < ... < C_n, a certificate that the sequence is
 (possibly twisted) self-dual, two exact lower bounds on minimum distances,
-direct self-orthogonality ranges, and descent to subfields by traces.
+and descent to subfields by traces.
 
 Everything here is certified by matrix arithmetic over the field; closed-form
 expectations (thresholds, genus formulas) live in the tests as oracles.
@@ -217,23 +217,6 @@ def dual_distance_bound(evset, m, cert):
     return bound
 
 
-def self_orthogonality_range(evset, mode="euclidean"):
-    """Largest m in the dimension set with C(mQ) contained in its dual.
-
-    The containment is monotone decreasing in m, so the first basis row that
-    breaks orthogonality against the accumulated rows ends the scan.  Returns
-    None if even C(0Q) fails.
-    """
-    F = evset.field
-    ms = evset.dimension_set()
-    poles, rows = evset.basis_rows(ms[-1])
-    targets = rows if mode == "euclidean" else F.pow_table(F.sqrt_order())[rows]
-    # row j breaks orthogonality iff it pairs nonzero with itself or an earlier row
-    breaks = np.tril(linalg.matmul(F, rows, targets.T)).any(axis=1)
-    stop = int(np.argmax(breaks)) if breaks.any() else len(poles)
-    return max(set(ms).intersection(poles[:stop]), default=None)
-
-
 # -- trace descent -----------------------------------------------------------------
 
 
@@ -259,20 +242,6 @@ def trace_code(evset, m, small):
     """The trace of C(mQ) down to the subfield, as a LinearCode."""
     rows, _ = trace_rows(evset, m, small)
     return LinearCode(small, evset.n, rows)
-
-
-def trace_self_orthogonal_range(evset, small):
-    """Largest m in the dimension set whose descended code is self-orthogonal.
-
-    Monotone in m (trace codes are nested), so scan until the matrix test
-    fails.  Returns None if even the descent of C(0Q) fails.
-    """
-    best = None
-    for m in evset.dimension_set():
-        if not trace_code(evset, m, small).is_self_orthogonal("euclidean"):
-            break
-        best = m
-    return best
 
 
 def incomplete_trace_search(evset, m, small, budget=None):

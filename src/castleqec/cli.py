@@ -152,13 +152,21 @@ def cmd_scan(args):
 
 def cmd_gv(args):
     prime_power(args.q)  # raises UnsupportedFieldError (exit 3) unless GF(q) exists here
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
+    if not 0 <= args.k <= args.n:
+        raise ValueError(f"--k must lie in [0, n] = [0, {args.n}], got {args.k}")
     if not 1 <= args.d <= args.n + 1:
         raise ValueError(f"--d must lie in [1, n + 1] = [1, {args.n + 1}], got {args.d}")
     status, _ = gv_status(args.n, args.k, args.d, args.q)
     lhs, rhs = gv_terms(args.n, args.k, args.d, args.q)
-    print(f"[[{args.n},{args.k},{args.d}]]_{args.q}: {status}")
-    print(f"lhs = {lhs}")
-    print(f"rhs = {rhs}")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the integers are printed exactly at any length
+    try:
+        text = f"[[{args.n},{args.k},{args.d}]]_{args.q}: {status}\nlhs = {lhs}\nrhs = {rhs}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    print(text)
     return 0
 
 

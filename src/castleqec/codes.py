@@ -90,12 +90,6 @@ class LinearCode:
 
     # -- membership and containment -----------------------------------------
 
-    def contains_vector(self, v):
-        v = np.asarray(v, dtype=np.uint16)
-        if v.shape != (self.n,):
-            raise ValueError("vector length mismatch")
-        return not linalg.reduce_row(self.field, self.matrix, self.pivots, v).any()
-
     def contains_code(self, other):
         """One product: other's rows V lie in this code iff V[:, P] R == V."""
         self._check_peer(other)
@@ -151,20 +145,6 @@ class LinearCode:
     def trace_code(self, small):
         """The code {(Tr(c_1), ..., Tr(c_n)) : c in C} over the subfield."""
         return LinearCode(small, self.n, embedding(small, self.field).trace_rows(self.matrix))
-
-    def subfield_subcode(self, small):
-        """The code C intersected with small^n, as a code over the subfield.
-
-        Computed directly: each dual constraint over the big field splits into
-        ratio-many constraints over the subfield once the codeword entries are
-        known to be subfield-valued.
-        """
-        emb = embedding(small, self.field)
-        H = self.dual().matrix
-        if H.shape[0] == 0:
-            return LinearCode.full(small, self.n)
-        small_rows = np.concatenate([emb.decompose_vec(h.astype(np.int64)) for h in H], axis=0)
-        return LinearCode.from_rref(small, self.n, linalg.kernel_basis(small, small_rows, self.n))
 
     # -- weights ---------------------------------------------------------------
 

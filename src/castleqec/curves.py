@@ -21,7 +21,6 @@ import operator
 
 import numpy as np
 
-from . import linalg
 from .fields import GF, MAX_ORDER, UnsupportedFieldError, field_from_json, json_int, json_ints
 from .semigroups import NumericalSemigroup
 
@@ -307,11 +306,6 @@ class EvaluationSet:
         out[np.matmul(E > 0, zero)] = 0
         return out
 
-    def phi_coefficients(self):
-        """Coefficients of phi(t) = prod over U of (t - alpha): the function
-        cutting out D as the fibration's totally split fibers."""
-        return self.field.poly_with_roots(self.U)
-
     def residue_twist(self):
         """The twist x with C(mQ)^perp = x * C((n + 2g - 2 - m)Q), or None.
 
@@ -335,23 +329,6 @@ class EvaluationSet:
         denominator = F.mul_table[f_y[y], h_prime[self.coords[self._fib_idx]]]
         assert denominator.all(), "totally split fibers have no ramified point"
         return F.mul_table[denominator[0], F.inv_table[denominator]]
-
-    def kernel_functions(self, m):
-        """Basis of ker(ev) on L(mQ): phi times a basis of L((m - n)Q).
-
-        Each function is a list of (coefficient, exponent tuple) monomial
-        terms; there are exactly abundance(m) of them.
-        """
-        phi, j = self.phi_coefficients(), self._fib_idx
-        return [
-            [(c, expo[:j] + (expo[j] + d,) + expo[j + 1 :]) for d, c in enumerate(phi) if c]
-            for _, expo in self.curve.basis_exponents(m - self.n)
-        ]
-
-    def evaluate_function(self, terms):
-        """Evaluate a list of (coefficient, exponent tuple) terms at the points."""
-        coeffs = np.array([[c for c, _ in terms]], dtype=np.uint16)
-        return linalg.matmul(self.field, coeffs, self.monomial_rows([e for _, e in terms]))[0]
 
 
 # -- serialization ------------------------------------------------------------------

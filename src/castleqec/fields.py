@@ -216,14 +216,6 @@ class Field:
         P[nz] = self.exp[(self.log[nz].astype(np.int64) * (e % (q - 1))) % (q - 1)]
         return P
 
-    def is_subfield_order(self, q0):
-        """True iff GF(q0) sits inside this field: q0 = p^j with j | k."""
-        try:
-            p0, j = prime_power(q0)
-        except UnsupportedFieldError:
-            return False
-        return p0 == self.p and self.k % j == 0
-
     def sqrt_order(self):
         """sqrt(q) for a square order q: the hermitian conjugation exponent."""
         if self.k % 2:
@@ -314,9 +306,7 @@ class Embedding:
     The small field's primitive element maps to the smallest-index element of
     the big field sharing its minimal polynomial; that pins the embedding
     uniquely and reproducibly.  Also provides the trace back down, as one
-    lookup table, and the coordinate decomposition of the big field over the
-    small one in the basis {1, alpha, ..., alpha^(r-1)} with alpha the big
-    field's primitive element.
+    lookup table.
     """
 
     def __init__(self, small, big):
@@ -352,15 +342,7 @@ class Embedding:
         back[fwd] = np.arange(q0, dtype=np.int32)
         self._back = back
 
-        # coordinates over the small field in the basis {alpha^j}: evaluate all
-        # q0^r = q coordinate vectors once and invert the bijection by indexing
         self._alpha_pows = big.exp[: self.ratio]  # alpha^j for j < ratio
-        coords = np.array(list(itertools.product(range(q0), repeat=self.ratio)), dtype=np.uint16)
-        elems = np.zeros(q, dtype=np.uint16)
-        for j, a in enumerate(self._alpha_pows):
-            elems = big.add_table[elems, big.mul_table[fwd[coords[:, j]], a]]
-        self._coords = np.zeros((q, self.ratio), dtype=np.uint16)
-        self._coords[elems] = coords
 
         # trace_table[a] = Tr(a) = sum of a^(q0^i) for i < ratio, as a small-field index
         frob = big.pow_table(q0)
@@ -376,9 +358,6 @@ class Embedding:
             raise ValueError("vector has entries outside the embedded subfield")
         return s.astype(np.uint16)
 
-    def trace(self, x):
-        return int(self.trace_table[x])
-
     def trace_vec(self, arr):
         """Coordinatewise trace of an array of big-field indices, as small-field indices."""
         return self.trace_table[np.asarray(arr)]
@@ -388,10 +367,6 @@ class Embedding:
         M = np.asarray(M, dtype=np.uint16)
         scaled = self.big.mul_table[self._alpha_pows[None, :, None], M[:, None, :]]
         return self.trace_vec(scaled).reshape(M.shape[0] * self.ratio, M.shape[1])
-
-    def decompose_vec(self, arr):
-        """Coordinates over the small field in basis {alpha^j}: shape (ratio, len(arr))."""
-        return self._coords[np.asarray(arr)].T
 
 
 _EMBEDDINGS = {}

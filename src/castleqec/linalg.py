@@ -94,10 +94,6 @@ def add(field, X, Y):
     return np.take(field.add_table, X.astype(np.intp) * field.order + Y)
 
 
-def rank(field, rows, n=None):
-    return len(rref(field, rows, n)[1])
-
-
 def kernel_basis(field, rows, n=None):
     """Rows spanning {v : M v^T = 0}, already in reduced echelon form.
 

@@ -13,7 +13,6 @@ from castleqec.agcodes import (
     dual_distance_bound,
     goppa_bound,
     order_bound,
-    self_orthogonality_range,
 )
 from castleqec.codes import LinearCode
 from castleqec.curves import EvaluationSet, PointedCurve, evaluation_set_from_json, sep_variable_curve
@@ -329,31 +328,40 @@ HERMITIAN_RANGES = [
 ]
 
 
+def assert_range_ends_at(ev, m, mode):
+    """C(mQ) is self-orthogonal and C at the next dimension-set pole is not.
+
+    The codes are nested, so m is the largest self-orthogonal pole.
+    """
+    assert m in ev.dimension_set()
+    assert OnePointCode(ev, m).code.is_self_orthogonal(mode)
+    nxt = min(mm for mm in ev.dimension_set() if mm > m)
+    assert not OnePointCode(ev, nxt).code.is_self_orthogonal(mode)
+
+
 @pytest.mark.parametrize("builder,expected", EUCLIDEAN_RANGES, ids=lambda v: getattr(v, "__name__", str(v)))
 def test_euclidean_self_orthogonality_range(builder, expected):
     ev = evset(builder)
-    got = self_orthogonality_range(ev, "euclidean")
-    assert got == expected
-    assert got == closed_form_range(ev, 2)
+    assert expected == closed_form_range(ev, 2)
+    assert_range_ends_at(ev, expected, "euclidean")
 
 
 @pytest.mark.parametrize("builder,expected", HERMITIAN_RANGES, ids=lambda v: getattr(v, "__name__", str(v)))
 def test_hermitian_self_orthogonality_range(builder, expected):
     ev = evset(builder)
     qt = ev.field.p ** (ev.field.k // 2)
-    got = self_orthogonality_range(ev, "hermitian")
-    assert got == expected
-    assert got == closed_form_range(ev, qt + 1)
+    assert expected == closed_form_range(ev, qt + 1)
+    assert_range_ends_at(ev, expected, "hermitian")
 
 
 def test_hermitian_range_requires_square_field():
     with pytest.raises(ValueError, match="square"):
-        self_orthogonality_range(evset(suzuki8), "hermitian")
+        OnePointCode(evset(suzuki8), 0).code.is_self_orthogonal("hermitian")
 
 
 def test_range_is_certified_by_containment():
     ev = evset(elliptic_gf4)
-    m = self_orthogonality_range(ev, "euclidean")
+    m = closed_form_range(ev, 2)
     code = OnePointCode(ev, m).code
     assert code <= code.dual()
     nxt = min(mm for mm in ev.dimension_set() if mm > m)

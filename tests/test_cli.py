@@ -9,6 +9,7 @@ import pytest
 
 from castleqec import cli
 from castleqec.agcodes import CodeSequence
+from castleqec.quantum import gv_terms
 from helpers import count_enumerations
 
 CURVES = Path(__file__).resolve().parent.parent / "curves"
@@ -327,6 +328,34 @@ def test_gv_accepts_the_ends_of_the_distance_range(capsys):
     for d in ("1", "11"):
         code, _, _ = run_cli(capsys, "gv", "--n", "10", "--k", "2", "--d", d, "--q", "4")
         assert code == 0
+
+
+@pytest.mark.parametrize("n,k", [("5", "-1"), ("5", "6"), ("5", "9"), ("0", "0"), ("-3", "0")])
+def test_gv_length_below_1_or_dimension_outside_0_to_n_exits_2(capsys, n, k):
+    code, out, err = run_cli(capsys, "gv", "--n", n, "--k", k, "--d", "1", "--q", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_gv_accepts_the_ends_of_the_dimension_range(capsys):
+    for k in ("0", "5"):
+        code, out, _ = run_cli(capsys, "gv", "--n", "5", "--k", k, "--d", "2", "--q", "2")
+        assert code == 0 and len(out.splitlines()) == 3
+
+
+def test_gv_prints_every_line_with_its_exact_integers_at_any_length(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "gv", "--n", "1000", "--k", "2", "--d", "1000", "--q", "1024")
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit  # the command restores the interpreter's setting
+    status, lhs, rhs = out.splitlines()
+    assert status == "[[1000,2,1000]]_1024: exceeds"
+    assert lhs.startswith("lhs = ") and rhs.startswith("rhs = ")
+    sys.set_int_max_str_digits(0)  # the integers have more digits than the default limit
+    try:
+        assert (int(lhs[6:]), int(rhs[6:])) == gv_terms(1000, 2, 1000, 1024)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # -- error paths --------------------------------------------------------------

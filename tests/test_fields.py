@@ -7,6 +7,7 @@ from castleqec.fields import (
     embedding,
     field_from_json,
 )
+from helpers import decompose_vec, is_subfield_order
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 64]
 
@@ -160,15 +161,15 @@ def test_minimal_polynomial_examples():
 def test_trace_gf4_to_gf2():
     F = GF(4)
     emb = embedding(GF(2), F)
-    traces = [emb.trace(x) for x in range(4)]
+    traces = [int(emb.trace_table[x]) for x in range(4)]
     assert traces == [0, 0, 1, 1]
     # the fibers of the trace map have size q^(r-1) = 2 each
     assert traces.count(0) == 2 and traces.count(1) == 2
     w = F.primitive
-    assert emb.trace(w) == 1
+    assert int(emb.trace_table[w]) == 1
 
 
-SUBFIELD_PAIRS = [(q0, q) for q in (4, 8, 16, 64, 81) for q0 in range(2, q + 1) if GF(q).is_subfield_order(q0)]
+SUBFIELD_PAIRS = [(q0, q) for q in (4, 8, 16, 64, 81) for q0 in range(2, q + 1) if is_subfield_order(GF(q), q0)]
 
 
 @pytest.mark.parametrize("q0,q", SUBFIELD_PAIRS + [(3, 9), (3, 27), (5, 25)])
@@ -198,13 +199,13 @@ def test_embedding_properties(q0, q):
     rng = random.Random(1234)
     xs = [rng.randrange(q) for _ in range(50)] + [0, 1]
     for x in xs:
-        t = emb.trace(x)
+        t = int(emb.trace_table[x])
         assert 0 <= t < q0
-        assert emb.trace(B.pow(x, q0)) == t
+        assert int(emb.trace_table[B.pow(x, q0)]) == t
         y = rng.randrange(q)
-        assert emb.trace(B.add(x, y)) == S.add(emb.trace(x), emb.trace(y))
+        assert int(emb.trace_table[B.add(x, y)]) == S.add(int(emb.trace_table[x]), int(emb.trace_table[y]))
         c = rng.randrange(q0)
-        assert emb.trace(B.mul(int(fwd[c]), x)) == S.mul(c, emb.trace(x))
+        assert int(emb.trace_table[B.mul(int(fwd[c]), x)]) == S.mul(c, int(emb.trace_table[x]))
 
     # trace of an embedded element is the degree ratio times the element
     scale = r % S.p
@@ -212,7 +213,7 @@ def test_embedding_properties(q0, q):
         expected = 0
         for _ in range(scale):
             expected = S.add(expected, s)
-        assert emb.trace(int(fwd[s])) == expected
+        assert int(emb.trace_table[int(fwd[s])]) == expected
 
     # the trace table is the Frobenius sum x + x^q0 + ... + x^(q0^(r-1)), projected
     for x in range(q):
@@ -221,10 +222,10 @@ def test_embedding_properties(q0, q):
             acc = B.add(acc, B.pow(x, q0 ** i))
         assert int(emb.trace_table[x]) == int(emb.project_vec(np.array([acc]))[0])
     arr = np.arange(q, dtype=np.uint16)
-    assert [int(v) for v in emb.trace_vec(arr)] == [emb.trace(x) for x in range(q)]
+    assert [int(v) for v in emb.trace_vec(arr)] == [int(emb.trace_table[x]) for x in range(q)]
     # the trace rows of M are Tr(alpha^j g), row g of M, then j
     M = np.array([[rng.randrange(q) for _ in range(5)] for _ in range(3)], dtype=np.uint16)
-    expected = [[emb.trace(B.mul(B.pow(B.primitive, j), int(x))) for x in g] for g in M for j in range(r)]
+    expected = [[int(emb.trace_table[B.mul(B.pow(B.primitive, j), int(x))]) for x in g] for g in M for j in range(r)]
     assert emb.trace_rows(M).tolist() == expected
     assert emb.trace_rows(M[:0]).shape == (0, 5)
 
@@ -251,7 +252,7 @@ def test_decompose_roundtrip(q0, q):
     r = emb.ratio
     alpha = B.primitive
     arr = np.arange(q, dtype=np.int64)
-    comps = emb.decompose_vec(arr)
+    comps = decompose_vec(emb, arr)
     assert comps.shape == (r, q)
     for x in range(q):
         acc = 0
@@ -260,7 +261,7 @@ def test_decompose_roundtrip(q0, q):
             acc = B.add(acc, term)
         assert acc == x
     # embedded elements decompose onto the first coordinate
-    c = emb.decompose_vec(emb.fwd)
+    c = decompose_vec(emb, emb.fwd)
     assert c[0].tolist() == list(range(q0)) and not c[1:].any()
 
 
@@ -276,7 +277,7 @@ def test_identity_embedding():
     emb = embedding(F, F)
     assert emb.ratio == 1
     assert emb.fwd.tolist() == list(range(9))
-    assert [emb.trace(x) for x in range(9)] == list(range(9))
+    assert [int(emb.trace_table[x]) for x in range(9)] == list(range(9))
 
 
 def test_json_roundtrip():

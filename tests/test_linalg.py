@@ -7,7 +7,8 @@ import pytest
 from castleqec import linalg
 from castleqec.codes import LinearCode
 from castleqec.fields import GF
-from castleqec.linalg import RREFAccumulator, kernel_basis, matmul, rank, reduce_row, rref
+from castleqec.linalg import RREFAccumulator, kernel_basis, matmul, reduce_row, rref
+from helpers import contains_vector
 
 
 def random_matrix(rng, q, k, n):
@@ -43,7 +44,7 @@ def test_kernel_rank_nullity(q):
         k, n = rng.randrange(1, 6), rng.randrange(1, 9)
         M = random_matrix(rng, q, k, n)
         K = kernel_basis(F, M)
-        assert K.shape[0] == n - rank(F, M)
+        assert K.shape[0] == n - len(rref(F, M)[1])
         if K.shape[0]:
             prod = matmul(F, M, K.T)
             assert not prod.any()
@@ -78,7 +79,7 @@ def test_accumulator_matches_batch_rref(q):
         R, pivots = rref(F, np.array(rows), n)
         assert acc.dimension == len(pivots)
         assert (acc.snapshot() == R).all()
-        assert grew == (len(pivots) != rank(F, np.array(rows[:-1]), n) if len(rows) > 1 else len(pivots) == 1)
+        assert grew == (len(pivots) != len(rref(F, np.array(rows[:-1]), n)[1]) if len(rows) > 1 else len(pivots) == 1)
 
 
 # -- oracles for the whole-matrix layer ------------------------------------------
@@ -185,7 +186,7 @@ def test_contains_code_matches_contains_vector(q):
         sub = LinearCode(F, n, matmul(F, picks, big.matrix))
         other = LinearCode(F, n, random_matrix(rng, q, rng.randrange(0, 4), n).reshape(-1, n))
         for a, b in [(big, sub), (sub, big), (big, other), (other, big), (LinearCode.zero(F, n), other)]:
-            assert a.contains_code(b) == all(a.contains_vector(row) for row in b.matrix)
+            assert a.contains_code(b) == all(contains_vector(a, row) for row in b.matrix)
         assert big.contains_code(sub)
 
 

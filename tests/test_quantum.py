@@ -91,16 +91,15 @@ def test_css_hermitian_rejects_above_range():
 
 
 def test_construction_a_hermitian_gf9():
-    from castleqec.agcodes import self_orthogonality_range
-
     ev = evset(hermitian_gf9)
     seq = CodeSequence(ev)
     cert = certify_duality(ev)
     rows = scan_sequence(seq, cert, "A")[1:]
     # levels m = 0,3,4,6,7 pass the gate; m = 8 fails it, matching the
-    # directly computed hermitian self-orthogonality range
+    # closed-form hermitian self-orthogonality range (q~ + 1) m <= n + 2g - 2
     assert [seq.pole_of_level(i) for i, _ in rows] == [0, 3, 4, 6, 7]
-    assert rows[-1][0] and seq.pole_of_level(rows[-1][0]) == self_orthogonality_range(ev, "hermitian")
+    top = ev.n + 2 * ev.curve.genus - 2
+    assert seq.pole_of_level(rows[-1][0]) == max(m for m in ev.dimension_set() if 4 * m <= top)
     for i, p in rows:
         assert (p.n, p.k, p.q) == (27, 27 - 2 * i, 3)
         assert p.d_provenance == "exact"

@@ -6,7 +6,6 @@ from castleqec.agcodes import (
     incomplete_trace_search,
     trace_code,
     trace_rows,
-    trace_self_orthogonal_range,
 )
 from castleqec.fields import GF, embedding
 from helpers import elliptic_gf4, evset, hermitian_gf9, hermitian_gf16, suzuki8
@@ -90,11 +89,12 @@ def test_trace_dimensions_suzuki():
 )
 def test_trace_self_orthogonal_range(builder, small, expected):
     ev = evset(builder)
-    got = trace_self_orthogonal_range(ev, GF(small))
-    assert got == expected
-    assert got == closed_form_trace_range(ev, GF(small))
-    # sharpness: the very next level must fail the matrix test
-    nxt = min(m for m in ev.dimension_set() if m > got)
+    assert expected == closed_form_trace_range(ev, GF(small))
+    assert expected in ev.dimension_set()
+    assert trace_code(ev, expected, GF(small)).is_self_orthogonal("euclidean")
+    # sharpness: the very next level must fail the matrix test; the trace
+    # codes are nested, so expected is the largest self-orthogonal pole
+    nxt = min(m for m in ev.dimension_set() if m > expected)
     assert not trace_code(ev, nxt, GF(small)).is_self_orthogonal("euclidean")
 
 
