@@ -47,7 +47,7 @@ class OnePointCode:
     def goppa_bound(self):
         return goppa_bound(self.evset, self.m)
 
-    def report_row(self, budget=None):
+    def report_row(self):
         """One JSON-friendly summary row for the build CLI."""
         return {
             "curve": self.evset.curve.tag,
@@ -57,14 +57,14 @@ class OnePointCode:
             "abundance": self.abundance,
             "goppa": self.goppa_bound(),
             "order": self.order_bound(),
-            **report_fields(self.code, budget),
+            **report_fields(self.code),
         }
 
 
-def report_fields(code, budget=None):
+def report_fields(code):
     """The closing fields of a build row: d_exact when in budget, then self_orth."""
     row = {}
-    d, status = code.min_weight(budget)
+    d, status = code.min_weight()
     if status == "exact":
         row["d_exact"] = d
     row["self_orth"] = {
@@ -244,7 +244,7 @@ def trace_code(evset, m, small):
     return LinearCode(small, evset.n, rows)
 
 
-def incomplete_trace_search(evset, m, small, budget=None):
+def incomplete_trace_search(evset, m, small):
     """Self-orthogonal subcode of the descended code by dropping trace rows.
 
     Keeps the all-ones row and all earlier blocks; removes up to ratio-1 rows
@@ -257,7 +257,7 @@ def incomplete_trace_search(evset, m, small, budget=None):
     """
     rows, blocks = trace_rows(evset, m, small)
     full = LinearCode(small, evset.n, rows)
-    target_d, target_status = full.dual().min_weight(budget)
+    target_d, target_status = full.dual().min_weight()
     if target_status != "exact":
         raise OverBudget("full trace code's dual distance is over budget; raise CASTLEQEC_BUDGET")
     _, last_idxs = blocks[-1]
@@ -268,7 +268,7 @@ def incomplete_trace_search(evset, m, small, budget=None):
             cand = LinearCode(small, evset.n, rows[keep])
             if not cand.is_self_orthogonal("euclidean"):
                 continue
-            d, status = cand.dual().min_weight(budget)
+            d, status = cand.dual().min_weight()
             if status == "exact" and d == target_d:
                 return cand, dropped
     return None

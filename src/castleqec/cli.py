@@ -85,7 +85,7 @@ def _load_eval_set(path):
     with open(path) as handle:
         try:
             obj = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     return evaluation_set_from_json(obj)
 

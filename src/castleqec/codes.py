@@ -23,7 +23,7 @@ MEMO_CODES = 128  # weight distributions kept, least recently used dropped first
 
 
 def work_budget():
-    """Enumeration budget in codewords; override with CASTLEQEC_BUDGET."""
+    """The one enumeration budget, in codewords, that every enumeration gate reads: CASTLEQEC_BUDGET."""
     raw = os.environ.get("CASTLEQEC_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
@@ -148,32 +148,31 @@ class LinearCode:
 
     # -- weights ---------------------------------------------------------------
 
-    def weights(self, budget=None):
-        """Lazy exact weight-distribution accessor, or None if over budget."""
-        w = _Weights(self, work_budget() if budget is None else budget)
-        return w if w.mode else None
+    def weights(self):
+        """Exact weights: direct if q^k is in budget, else MacWilliams of the dual's q^(n-k), else None."""
+        q, n, k = self.field.order, self.n, self.dimension
+        budget = work_budget()
+        if q ** k <= budget:
+            return _Weights(_enumerated(self), q)
+        if q ** (n - k) <= budget:
+            return _Weights(_enumerated_dual(self), q, q ** (n - k))
+        return None
 
-    def weight_distribution(self, budget=None):
+    def weight_distribution(self):
         """Exact [A_0, ..., A_n] as python ints, or None if over budget."""
-        w = self.weights(budget)
+        w = self.weights()
         if w is None:
             return None
         return [w.coeff(j) for j in range(self.n + 1)]
 
-    def min_weight(self, budget=None):
+    def min_weight(self):
         """(d, "exact"), (None, "empty") for the zero code, or (None, "not-computed")."""
         if self.dimension == 0:
             return None, "empty"
-        w = self.weights(budget)
-        if w is None:
-            return None, "not-computed"
-        for j in range(1, self.n + 1):
-            if w.coeff(j):
-                return j, "exact"
-        raise AssertionError("nonzero code with no nonzero-weight word")
+        return _first_excess(self.weights(), _Weights((1,) + (0,) * self.n, self.field.order))
 
 
-def relative_min_weight(sub, sup, budget=None):
+def relative_min_weight(sub, sup):
     """Smallest weight in sup minus sub, as (d, status).
 
     Statuses: "exact" when computed, "empty" when the codes coincide,
@@ -182,18 +181,10 @@ def relative_min_weight(sub, sup, budget=None):
     sup._check_peer(sub)
     if sub.dimension == sup.dimension:
         return None, "empty"
-    b = work_budget() if budget is None else budget
-    wsup = sup.weights(b)
-    wsub = sub.weights(b)
-    if wsup is None or wsub is None:
-        return None, "not-computed"
-    for j in range(1, sup.n + 1):
-        if wsup.coeff(j) > wsub.coeff(j):
-            return j, "exact"
-    raise AssertionError("strictly larger code with no extra weight")
+    return _first_excess(sup.weights(), sub.weights())
 
 
-def normalizer_min_weight(code, budget=None):
+def normalizer_min_weight(code):
     """Smallest weight in N minus C for a CSS pair C <= N from C's weights alone, as (d, status).
 
     Premise: N^perp has C's weights.  It holds for every self-orthogonal
@@ -204,45 +195,44 @@ def normalizer_min_weight(code, budget=None):
     relative_min_weight: "exact", or "not-computed" when q^k is over budget.
     """
     q, n, k = code.field.order, code.n, code.dimension
-    if q ** k > (work_budget() if budget is None else budget):
+    if q ** k > work_budget():
         return None, "not-computed"
     counts = _enumerated(code)
-    for j in range(1, n + 1):
-        if macwilliams_coefficient(n, q, counts, q ** k, j) > (counts[j] if 2 * k < n else 0):
+    lower = counts if 2 * k < n else (1,) + (0,) * n  # the zero code's, for 2k = n
+    return _first_excess(_Weights(counts, q, q ** k), _Weights(lower, q))
+
+
+def _first_excess(upper, lower):
+    """The least weight in upper minus lower < upper from their weights (None: over budget), as (d, status)."""
+    if upper is None or lower is None:
+        return None, "not-computed"
+    for j in range(1, upper.n + 1):
+        if upper.coeff(j) > lower.coeff(j):
             return j, "exact"
-    raise AssertionError("a normalizer with no word outside its stabilizer")
+    raise AssertionError("a larger code with no word outside the smaller one")
 
 
 class _Weights:
-    """Exact weight-distribution coefficients for one code, lazily.
+    """Exact weight-distribution coefficients of one code, from enumerated counts.
 
-    mode "direct": full enumeration of the code itself.
-    mode "mac": enumeration of the dual plus per-coefficient MacWilliams
-    transform (cached), so asking for the first few A_j of a huge code stays
-    cheap.  mode None: both sides exceed the budget.
+    mode "direct": vec is the code's own counts.  mode "mac": vec is the
+    counts of a dual of dual_size words, and each coefficient is their
+    MacWilliams transform, cached, so asking for the first few A_j of a
+    huge code stays cheap.
     """
 
-    def __init__(self, code, budget):
-        q, n, k = code.field.order, code.n, code.dimension
-        self.n, self.q = n, q
-        self.mode = None
-        if q ** min(k, n - k) > budget:  # enumeration visits q^k words, or q^(n-k) of the dual's
-            return
-        if q ** k <= budget:
-            self.mode = "direct"
-            self.vec = _enumerated(code)
-        else:
-            self.mode = "mac"
-            self.dual_counts = _enumerated_dual(code)
-            self.dual_size = q ** (n - k)
-            self.cache = {}
+    def __init__(self, vec, q, dual_size=None):
+        self.vec, self.q, self.dual_size = vec, q, dual_size
+        self.n = len(vec) - 1
+        self.mode = "direct" if dual_size is None else "mac"
+        self.cache = {}
 
     def coeff(self, j):
         if self.mode == "direct":
             return self.vec[j]
         if j not in self.cache:
             self.cache[j] = macwilliams_coefficient(
-                self.n, self.q, self.dual_counts, self.dual_size, j
+                self.n, self.q, self.vec, self.dual_size, j
             )
         return self.cache[j]
 
@@ -251,8 +241,7 @@ class _Weights:
 def _enumerated(code):
     """Weight counts of code, memoized on the canonical code (LinearCode hashes its RREF).
 
-    A code met again, e.g. C_i^perp = C_(n-i) on a self-dual flag, costs
-    neither a dual nor an enumeration.  Tuples keep the counts immutable.
+    A code built again costs no enumeration.  Tuples keep the counts immutable.
     """
     return tuple(int(c) for c in kernels.enumerate_weights(code.field, code.matrix))
 

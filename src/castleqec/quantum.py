@@ -64,13 +64,13 @@ def _css(n, k, q, found, construction):
     return QuantumParams(n, k, d, q, "exact" if d is not None else "lower-bound", construction)
 
 
-def _nested_sides(c1, c2, budget):
+def _nested_sides(c1, c2):
     """d over C2 minus C1, then over C1^perp minus C2^perp, whose duals are built only if asked for."""
-    yield relative_min_weight(c1, c2, budget)
-    yield relative_min_weight(c2.dual(), c1.dual(), budget)
+    yield relative_min_weight(c1, c2)
+    yield relative_min_weight(c2.dual(), c1.dual())
 
 
-def css_nested(c1, c2, budget=None, construction="css"):
+def css_nested(c1, c2):
     """CSS code of a nested pair C1 <= C2 over F_q: [[n, k2 - k1]]_q.
 
     d = min weight over (C2 minus C1) and (C1^perp minus C2^perp); for k = 0
@@ -81,28 +81,28 @@ def css_nested(c1, c2, budget=None, construction="css"):
     if not c1 <= c2:
         raise ValueError("CSS needs nested codes")
     k = c2.dimension - c1.dimension
-    found = _nested_sides(c1, c2, budget) if k else [c1.dual().min_weight(budget)]  # C2^perp = C1^perp
-    return _css(c1.n, k, c1.field.order, found, construction)
+    found = _nested_sides(c1, c2) if k else [c1.dual().min_weight()]  # C2^perp = C1^perp
+    return _css(c1.n, k, c1.field.order, found, "css")
 
 
-def _stabilizer_css(code, q, construction, budget):
+def _stabilizer_css(code, q, construction):
     """The CSS code of stabilizer C in a normalizer N with C's weights on N^perp: d costs C's q^k words."""
     n = code.n
-    return _css(n, n - 2 * code.dimension, q, [normalizer_min_weight(code, budget)], construction)
+    return _css(n, n - 2 * code.dimension, q, [normalizer_min_weight(code)], construction)
 
 
-def css_self_orthogonal(code, budget=None):
+def css_self_orthogonal(code):
     """CSS code of a self-orthogonal C <= C^perp: [[n, n - 2k, wt(C^perp - C)]]_q."""
     if not code.is_self_orthogonal():
         raise ValueError("code is not self-orthogonal")
-    return _stabilizer_css(code, code.field.order, "css", budget)
+    return _stabilizer_css(code, code.field.order, "css")
 
 
-def css_hermitian(code, budget=None):
+def css_hermitian(code):
     """Hermitian construction: C <= C^perpH over F_{q~^2} gives [[n, n-2k]]_{q~}."""
     if not code.is_self_orthogonal("hermitian"):
         raise ValueError("code is not hermitian self-orthogonal")
-    return _stabilizer_css(code, code.field.sqrt_order(), "hermitian", budget)
+    return _stabilizer_css(code, code.field.sqrt_order(), "hermitian")
 
 
 def _twist_root(F, cert, qt):
@@ -133,7 +133,7 @@ def _in_certified_partner(level, twist):
     return not linalg.matmul(level.field, _twisted_rows(level, twist), level.matrix.T).any()
 
 
-def level_step(seq, cert, construction, budget=None):
+def level_step(seq, cert, construction):
     """The per-level step of a sequence construction.
 
     Returns step(i): the quantum code at level i, or None once the gate of
@@ -190,13 +190,13 @@ def level_step(seq, cert, construction, budget=None):
                 raise ValueError(f"{ev.curve.tag}: C_{i} is not in its certified partner C_{n - i}")
         elif not level.is_self_orthogonal("hermitian"):
             return None
-        params = _stabilizer_css(level, q, construction, budget)
+        params = _stabilizer_css(level, q, construction)
         return params.with_bound(dual_distance_bound(ev, seq.pole_of_level(i), cert))
 
     return step
 
 
-def scan_sequence(seq, cert, construction, budget=None, max_i=None):
+def scan_sequence(seq, cert, construction, max_i=None):
     """One quantum code per admissible level of a code sequence, in level order.
 
     Runs level_step from i = 0 until its gate closes; levels past max_i are
@@ -207,7 +207,7 @@ def scan_sequence(seq, cert, construction, budget=None, max_i=None):
         max_i = seq.n
     elif max_i < 0:
         raise ValueError(f"max_i must be nonnegative, got {max_i}")
-    step = level_step(seq, cert, construction, budget)
+    step = level_step(seq, cert, construction)
     out = []
     for i in range(min(max_i, seq.n) + 1):
         params = step(i)

@@ -117,7 +117,7 @@ def check_row(row, params):
 # -- builds --------------------------------------------------------------------
 
 
-def build_rows(builds, budget=None):
+def build_rows(builds):
     """The quantum codes of a list of builds, one per level or pole order, in order.
 
     A build (curve, construction, at) names a curve of curves.CATALOGUE and
@@ -130,16 +130,16 @@ def build_rows(builds, budget=None):
     for curve, construction, at in builds:
         ev = evaluation_set_from_json(CATALOGUE[curve])
         if construction in ("trace", "incomplete-trace"):
-            out += [_descent(ev, construction, m, budget) for m in at]
+            out += [_descent(ev, construction, m) for m in at]
         else:
-            out += _levels(ev, construction, at, budget)
+            out += _levels(ev, construction, at)
     return out
 
 
-def _levels(ev, construction, at, budget):
+def _levels(ev, construction, at):
     """Rows of level_step: C at the levels at, the hermitian CSS at the pole orders at."""
     seq = CodeSequence(ev)
-    step = level_step(seq, certify_duality(ev), construction, budget)
+    step = level_step(seq, certify_duality(ev), construction)
     out = []
     for i in at if construction == "C" else [seq.ms.index(m) + 1 for m in at]:
         params = step(i)
@@ -149,19 +149,19 @@ def _levels(ev, construction, at, budget):
     return out
 
 
-def _descent(ev, construction, m, budget):
+def _descent(ev, construction, m):
     """The euclidean CSS of the trace or incomplete-trace descent of C(mQ)."""
     if construction == "trace":
         code = trace_code(ev, m, GF(ev.field.p))
     else:
         try:
-            found = incomplete_trace_search(ev, m, GF(ev.field.sqrt_order()), budget)
+            found = incomplete_trace_search(ev, m, GF(ev.field.sqrt_order()))
         except OverBudget as exc:
             return exc
         if found is None:
             raise ValueError(f"incomplete-trace search failed on {ev.curve.tag} at m={m}")
         code, _ = found
-    return replace(css_self_orthogonal(code, budget), construction="trace")
+    return replace(css_self_orthogonal(code), construction="trace")
 
 
 # -- targets -------------------------------------------------------------------
@@ -279,13 +279,13 @@ def target_ids():
     return list(TARGETS)
 
 
-def run_target(identifier, budget=None):
+def run_target(identifier):
     """Rebuild one target's codes and check every row; returns a TargetReport."""
     try:
         target = TARGETS[identifier]
     except KeyError:
         raise ValueError(f"unknown reproduction target {identifier!r}") from None
-    built = build_rows(target.builds, budget)
+    built = build_rows(target.builds)
     if len(built) != len(target.rows):
         raise AssertionError(f"{identifier}: builds give {len(built)} rows, manifest has {len(target.rows)}")
     results = tuple(
@@ -301,18 +301,19 @@ def _unbuilt(row, reason):
     return RowResult(row, None, status, (reason,), ())
 
 
-def run_all(budget=None):
-    return [run_target(identifier, budget) for identifier in TARGETS]
+def run_all():
+    return [run_target(identifier) for identifier in TARGETS]
 
 
 # -- hooks for perfbench/worker.py ---------------------------------------------
-# It runs these three runners with _maximal_rows replaced, to compare its scan
-# curve files with the evaluation sets of the maximal targets.  A test pins
-# those files to CATALOGUE; the benchmark reads these names, so they stay.
+# It runs these runners as runner(None), with _maximal_rows replaced by a
+# capture(ev, poles, budget), to compare its scan curve files with the maximal
+# targets.  It reads these names and arguments, so they stay, though budget is
+# unused: CASTLEQEC_BUDGET is the only budget.  A test pins the files to CATALOGUE.
 
 
 def _maximal_rows(ev, poles, budget):
-    return _levels(ev, "hermitian", poles, budget)
+    return _levels(ev, "hermitian", poles)
 
 
 def _maximal_runner(identifier):

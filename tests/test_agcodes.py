@@ -107,7 +107,8 @@ def test_a_max_i_scan_builds_no_level_above_those_it_visits(monkeypatch, constru
     monkeypatch.setattr(linalg.RREFAccumulator, "snapshot", recording)
     ev = evset(hermitian_gf16)
     seq = CodeSequence(ev)
-    rows = scan_sequence(seq, certify_duality(ev), construction, budget=1, max_i=max_i)
+    monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
+    rows = scan_sequence(seq, certify_duality(ev), construction, max_i=max_i)
     assert [i for i, _ in rows] == list(range(max_i + 1))
     assert dimensions == list(range(1, max_i + 1))  # each visited level once, nothing above
 
@@ -393,12 +394,13 @@ def test_a_level_that_does_not_grow_is_an_error():
 
 
 @pytest.mark.parametrize("path", ALL_CURVE_FILES + TWISTED_FILES, ids=lambda p: p.stem)
-def test_the_certified_dual_distance_bound_never_exceeds_the_exact_distance(path):
+def test_the_certified_dual_distance_bound_never_exceeds_the_exact_distance(monkeypatch, path):
     ev = _from_file(path)()
     seq, cert = CodeSequence(ev), certify_duality(ev)
     levels = [i for i in range(1, ev.n) if ev.field.order ** i <= 2 ** 16]
     assert levels
+    monkeypatch.setenv("CASTLEQEC_BUDGET", str(2 ** 16))
     for i in levels:
-        d, status = seq.level(i).dual().min_weight(2 ** 16)
+        d, status = seq.level(i).dual().min_weight()
         assert status == "exact"
         assert dual_distance_bound(ev, seq.pole_of_level(i), cert) <= d

@@ -387,6 +387,28 @@ def test_broken_json_exits_2(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+NESTED = {
+    "brackets": "[" * 100_000 + "]" * 100_000,
+    "sep-f": '{"family": "sep", "field": {"p": 3, "k": 2}, "params": {"f": '
+    + "[" * 5_000 + "0" + "]" * 5_000
+    + ', "g": [0, 1, 0, 1]}}',
+}
+
+
+@pytest.mark.parametrize("text", NESTED.values(), ids=NESTED.keys())
+def test_deeply_nested_json_exits_2_without_a_traceback(tmp_path, text):
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "castleqec.cli", "scan", "--curve-file", str(path), "--construction", "C"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "build", "--curve-file", "/no/such/file.json", "--m", "0")
     assert code == 2

@@ -119,13 +119,16 @@ def test_macwilliams_matches_enumeration(q):
         assert direct == via_mac
 
 
-def test_min_weight_statuses():
+def test_min_weight_statuses(monkeypatch):
     F = GF(2)
     assert LinearCode.zero(F, 5).min_weight() == (None, "empty")
     C = LinearCode(F, 7, HAMMING_7_4)
-    assert C.min_weight(budget=1) == (None, "not-computed")
-    assert C.min_weight(budget=8) == (3, "exact")  # dual-side enumeration, 2^3
-    assert C.min_weight(budget=16) == (3, "exact")  # direct, 2^4
+    monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
+    assert C.min_weight() == (None, "not-computed")
+    monkeypatch.setenv("CASTLEQEC_BUDGET", "8")
+    assert C.min_weight() == (3, "exact")  # dual-side enumeration, 2^3
+    monkeypatch.setenv("CASTLEQEC_BUDGET", "16")
+    assert C.min_weight() == (3, "exact")  # direct, 2^4
 
 
 def test_budget_env_override(monkeypatch):
@@ -145,8 +148,9 @@ def test_weight_memo_skips_the_dual_and_the_enumeration(monkeypatch):
     duals = []
     original = LinearCode.dual
     monkeypatch.setattr(LinearCode, "dual", lambda self: duals.append(1) or original(self))
+    monkeypatch.setenv("CASTLEQEC_BUDGET", "8")
     for _ in range(3):
-        assert C.weight_distribution(budget=8) == [1, 0, 0, 7, 7, 0, 0, 1]  # via the dual
+        assert C.weight_distribution() == [1, 0, 0, 7, 7, 0, 0, 1]  # via the dual
     assert (enumerations, len(duals)) == ([(3, 7)], 1)
     # the [7, 3] dual was enumerated directly, so it is in the memo too
     assert original(C).weight_distribution() == [1, 0, 0, 0, 7, 0, 0, 0]
@@ -170,8 +174,11 @@ def test_budget_counts_codewords_not_visited_words(monkeypatch):
     rng = random.Random(7)
     C = random_code(rng, 4, 3, 6)
     assert C.dimension == 3
-    assert C.weights(budget=21) is None and C.weights(budget=63) is None
-    assert C.weights(budget=64).mode == "direct"
+    for budget in (21, 63):
+        monkeypatch.setenv("CASTLEQEC_BUDGET", str(budget))
+        assert C.weights() is None
+    monkeypatch.setenv("CASTLEQEC_BUDGET", "64")
+    assert C.weights().mode == "direct"
     assert enumerations == [(3, 6)]
 
 

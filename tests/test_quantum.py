@@ -287,18 +287,34 @@ def test_a_budget_one_scan_builds_no_dual(monkeypatch, path, construction):
     for name in ("dual", "hermitian_dual", "contains_code"):
         monkeypatch.setattr(LinearCode, name, spy(name, getattr(LinearCode, name)))
     monkeypatch.setattr(linalg, "kernel_basis", spy("kernel_basis", linalg.kernel_basis))  # C's partner
-    rows = scan_sequence(seq, cert, construction, budget=1)
+    monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
+    rows = scan_sequence(seq, cert, construction)
     assert len(rows) > 2 and all(p.d_provenance == "lower-bound" for _, p in rows[1:])
     assert built == []
     assert len(seq._levels) <= ev.n // 2 + 2  # nothing past the first closed gate
 
 
-def test_a_one_level_c_scan_keeps_two_levels():
+def test_a_one_level_c_scan_keeps_two_levels(monkeypatch):
     ev = load(ROOT / "curves/hermitian-gf16.json")
     seq = CodeSequence(ev)
-    rows = scan_sequence(seq, certify_duality(ev), "C", budget=1, max_i=1)
+    monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
+    rows = scan_sequence(seq, certify_duality(ev), "C", max_i=1)
     assert [i for i, _ in rows] == [0, 1]
     assert len(seq._levels) <= 2
+
+
+def test_a_nested_pair_stops_at_its_first_uncomputed_side(monkeypatch):
+    seq = CodeSequence(evset(elliptic_gf4))
+    c1, c3 = seq.level(1), seq.level(3)
+    duals = []
+    original = LinearCode.dual
+    monkeypatch.setattr(LinearCode, "dual", lambda self: duals.append(self) or original(self))
+    monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
+    assert css_nested(c1, c3).d_provenance == "lower-bound"
+    assert duals == []  # the Z side's duals are never built
+    monkeypatch.delenv("CASTLEQEC_BUDGET")
+    assert css_nested(c1, c3).d_provenance == "exact"
+    assert duals  # the spy sees the Z side once it is computed
 
 
 # -- the normalizer's weights are the MacWilliams transform of the stabilizer's --
@@ -307,11 +323,11 @@ ORACLE_FILES = CURVE_FILES + sorted(ROOT.glob("tests/data/twisted/*.json"))
 ORACLE_BUDGET = 1 << 16
 
 
-def partner_distance(code, partner, budget):
+def partner_distance(code, partner):
     """d of the CSS pair code <= partner from both weight distributions: the oracle."""
     if 2 * code.dimension == code.n:
-        return partner.min_weight(budget)[0]
-    return relative_min_weight(code, partner, budget)[0]
+        return partner.min_weight()[0]
+    return relative_min_weight(code, partner)[0]
 
 
 @pytest.mark.parametrize("path", ORACLE_FILES, ids=lambda p: p.stem)
@@ -336,7 +352,7 @@ def test_a_distance_from_the_stabilizer_alone_matches_the_built_partner(monkeypa
                 partner = level.hermitian_dual()
                 assert css_hermitian(level).d == p.d
             assert p.d_provenance == "exact"
-            assert p.d == partner_distance(level, partner, ORACLE_BUDGET)
+            assert p.d == partner_distance(level, partner)
             checked += 1
     assert checked
 
@@ -357,28 +373,32 @@ def self_orthogonal_rows():
     yield degenerate_code()
 
 
-def test_self_orthogonal_distances_from_the_code_alone_match_its_built_dual():
+def test_self_orthogonal_distances_from_the_code_alone_match_its_built_dual(monkeypatch):
+    monkeypatch.setenv("CASTLEQEC_BUDGET", str(ORACLE_BUDGET))
     for code in self_orthogonal_rows():
-        p = css_self_orthogonal(code, ORACLE_BUDGET)
+        p = css_self_orthogonal(code)
         assert p.d_provenance == "exact"
-        assert p.d == partner_distance(code, code.dual(), ORACLE_BUDGET)
+        assert p.d == partner_distance(code, code.dual())
 
 
-def test_a_degenerate_code_keeps_its_stabilizer_words_out_of_d():
+def test_a_degenerate_code_keeps_its_stabilizer_words_out_of_d(monkeypatch):
     code = degenerate_code()
     assert code.dual().min_weight() == (2, "exact")
     p = css_self_orthogonal(code)
     assert (p.n, p.k, p.d) == (9, 1, 3)
     # the budget counts the stabilizer's 2^4 words, not the normalizer's 2^5
-    assert normalizer_min_weight(code, 16) == (3, "exact")
-    assert normalizer_min_weight(code, 15) == (None, "not-computed")
+    monkeypatch.setenv("CASTLEQEC_BUDGET", "16")
+    assert normalizer_min_weight(code) == (3, "exact")
+    monkeypatch.setenv("CASTLEQEC_BUDGET", "15")
+    assert normalizer_min_weight(code) == (None, "not-computed")
 
 
 def test_a_c_level_in_budget_enumerates_once_and_builds_no_dual(monkeypatch):
     ev = load(ROOT / "curves/elliptic-gf9.json")
     seq, cert = CodeSequence(ev), certify_duality(ev)
     assert cert.status == "formally-self-dual"  # x != 1: the partner's dual x * C_4 is not C_4
-    step = level_step(seq, cert, "C", budget=1 << 16)
+    monkeypatch.setenv("CASTLEQEC_BUDGET", str(1 << 16))
+    step = level_step(seq, cert, "C")
     seen, kernels_taken = count_enumerations(monkeypatch), []
     original = linalg.kernel_basis
 

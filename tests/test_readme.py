@@ -12,6 +12,7 @@ import pytest
 
 import castleqec
 from castleqec import cli
+from castleqec.codes import DEFAULT_BUDGET
 
 ROOT = Path(__file__).resolve().parent.parent
 BLOCKS = re.findall(r"^```(\w+)\n(.*?)^```", (ROOT / "README.md").read_text(), flags=re.M | re.S)
@@ -53,7 +54,9 @@ def test_cli_example(command, lines, capsys, monkeypatch):
     assert got == lines
 
 
-def test_python_examples_print_what_their_comments_show(capsys):
+def test_python_examples_print_what_their_comments_show(capsys, monkeypatch):
+    # a block sets its own budget; monkeypatch restores the environment afterwards
+    monkeypatch.setenv("CASTLEQEC_BUDGET", str(DEFAULT_BUDGET))
     blocks = [body for lang, body in BLOCKS if lang == "python"]
     assert blocks
     namespace = {}

@@ -65,15 +65,16 @@ def test_budget_1_fails_rows_instead_of_the_run(monkeypatch):
     assert any(r["status"] == "PASS" for r in rows)  # the bound-mode rows still pass
 
 
-def test_small_budget_gives_certified_bounds():
+def test_small_budget_gives_certified_bounds(monkeypatch):
     """Below the reproduction budgets, nested and hermitian rows carry the certified bound."""
     rows = {
         "elliptic-gf9": ["nested pair, i=4", "nested pair, i=5", "nested pair, i=6", "nested pair, i=7"],
         "hyper-even": ["(q,u)=(4,5), m=5"],
         "normtrace": ["quotient (2,4,3), m=8", "norm-trace (2,3,7), m=14"],
     }
+    monkeypatch.setenv("CASTLEQEC_BUDGET", "4096")
     for identifier, labels in rows.items():
-        results = {r.row.label: r for r in repro.run_target(identifier, budget=4096).results}
+        results = {r.row.label: r for r in repro.run_target(identifier).results}
         for label in labels:
             params = results[label].params
             assert params.d_provenance == "lower-bound", (identifier, label)
