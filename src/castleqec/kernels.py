@@ -3,15 +3,20 @@
 For q > 2 only coefficient vectors whose first nonzero entry is 1 are
 visited, since nonzero scalars keep weights; those with leading index i form
 the coset G[i] + span(G[i+1:]).  The trailing rows are expanded once into a
-block of at most 2^16 words, and an odometer over the rows between i and the
-block shifts the whole block by one partial sum at a time.  For q = 2 the
-rows are packed into uint64 limbs, the leading rows are walked in Gray-code
-order with one XOR per step, and weights are popcounts.
+column-major block of at most 2^16 words (n x words), and an odometer over
+the rows between i and the block shifts the whole block by one partial sum
+at a time.  The shifted words are never formed: block + partial is zero
+exactly where block == -partial, so a tally counts each word's zeros by
+comparison.  For q = 2 the rows are packed into uint64 limbs, the leading
+rows are walked in Gray-code order with one XOR per step, and weights are
+popcounts.
 """
 
 import itertools
 
 import numpy as np
+
+from . import linalg
 
 BACKEND = "python"  # the only backend; benchmark records name it
 _BLOCK_WORDS = 1 << 16
@@ -28,33 +33,32 @@ def enumerate_weights(field, G):
     return _binary_weights(G) if field.order == 2 else _projective_weights(field, G)
 
 
-def _tally(counts, words):
-    counts += np.bincount(np.count_nonzero(words, axis=1), minlength=counts.size)
-
-
 def _projective_weights(field, G):
     q, (k, n) = field.order, G.shape
-    # elements are coefficient vectors over GF(p), so in characteristic 2 addition is XOR
-    add = np.bitwise_xor if field.p == 2 else (lambda a, b: field.add_table[a, b])
     multiples = field.mul_table[np.arange(q)[None, :, None], G[:, None, :]]  # s * G[i]
     kb = 0
     while kb < k and q ** (kb + 1) <= _BLOCK_WORDS:
         kb += 1
     k_pre = k - kb
+    counter = np.uint8 if n < 256 else np.uint16  # holds any zero count up to n
+    zeros = np.zeros(n + 1, dtype=np.int64)  # zeros[z]: tallied words with z zero entries
+    block = np.zeros((n, 1), dtype=np.uint16)  # span(G[i+1:]) as columns, as i walks down
 
-    counts = np.zeros(n + 1, dtype=np.int64)
-    block = np.zeros((1, n), dtype=np.uint16)  # span(G[i+1:]) as i walks down
+    def zero_counts(partial):  # of the words block + partial, over the current block
+        hits = (block == field.neg_table[partial][:, None]).view(np.uint8)
+        return np.bincount(hits.sum(axis=0, dtype=counter), minlength=n + 1)
+
     for i in range(k - 1, k_pre - 1, -1):
-        _tally(counts, add(block, G[i]))
+        zeros += zero_counts(G[i])
         if i:
-            block = add(block[:, None], multiples[i]).reshape(len(block) * q, n)
+            block = np.concatenate([linalg.add(field, block, m[:, None]) for m in multiples[i]], axis=1)
     for i in range(k_pre):
         for digits in itertools.product(range(q), repeat=k_pre - 1 - i):
             partial = G[i]
             for j, s in enumerate(digits, start=i + 1):
-                partial = add(partial, multiples[j, s])
-            _tally(counts, add(block, partial))
-    counts *= q - 1
+                partial = linalg.add(field, partial, multiples[j, s])
+            zeros += zero_counts(partial)
+    counts = zeros[::-1] * (q - 1)
     counts[0] += 1  # the zero vector
     return counts
 
@@ -70,9 +74,13 @@ def _binary_weights(G):
 
     counts = np.zeros(n + 1, dtype=np.int64)
     partial = np.zeros_like(block[0])
+    words, pops = np.empty_like(block), np.empty(block.shape, dtype=np.uint8)
+    weights = pops[:, 0] if rows.shape[1] == 1 else np.empty(len(block), dtype=np.intp)
     for step in range(1 << k_pre):
         if step:
             partial ^= rows[(step & -step).bit_length() - 1]
-        weights = np.bitwise_count(block ^ partial).sum(axis=1, dtype=np.intp)
+        np.bitwise_count(np.bitwise_xor(block, partial, out=words), out=pops)
+        if rows.shape[1] > 1:
+            pops.sum(axis=1, out=weights)
         counts += np.bincount(weights, minlength=n + 1)
     return counts

@@ -91,7 +91,9 @@ def add(field, X, Y):
     """Entrywise field sum: XOR in characteristic 2, else one flat table lookup."""
     if field.p == 2:
         return X ^ Y
-    return np.take(field.add_table, X.astype(np.intp) * field.order + Y)
+    index = np.multiply(X, field.order, dtype=np.intp)
+    index += Y  # in place, so Y broadcasts to X's shape: one intp temporary, not two
+    return np.take(field.add_table, index)
 
 
 def kernel_basis(field, rows, n=None):
@@ -107,7 +109,7 @@ def kernel_basis(field, rows, n=None):
     ncols = M.shape[1]
     G, reversed_pivots = rref(field, M[:, ::-1])
     P = ncols - 1 - np.array(reversed_pivots, dtype=np.intp)
-    free = np.setdiff1d(np.arange(ncols), P)
+    free = np.delete(np.arange(ncols), P)  # not np.setdiff1d, whose np.unique imports numpy.ma
     H = np.zeros((len(free), ncols), dtype=np.uint16)
     H[np.arange(len(free)), free] = 1
     H[:, P] = field.neg_table[G[:, ::-1][:, free].T]

@@ -110,8 +110,28 @@ def test_binary_gray_walk_past_the_block_matches_oracle(k):
     assert_matches_oracle(GF(2), G)
 
 
-@pytest.mark.parametrize("q, k, n", [(4, 9, 14), (3, 12, 8)])
+def test_binary_gray_walk_over_two_limbs_matches_oracle():
+    # n > 64: each word is two uint64 limbs, so the walk sums popcounts per word
+    rng = random.Random(70)
+    G = random_generator(rng, 2, 17, 70)
+    G[16] = G[0]
+    assert_matches_oracle(GF(2), G)
+
+
+@pytest.mark.parametrize("q, k, n", [(4, 9, 14), (3, 12, 8), (5, 8, 20), (4, 9, 70)])
 def test_odometer_past_the_block_matches_oracle(q, k, n):
     # q^k above the 2^16-word block, so leading cosets run the odometer
     rng = random.Random(42)
     assert_matches_oracle(GF(q), random_generator(rng, q, k, n))
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_zero_count_at_the_counter_width_matches_oracle(q, n):
+    # words are tallied by their zeros in a uint8 counter up to n = 255;
+    # a repeated row makes a zero word, whose n zeros fill that width
+    rng = random.Random(q * n)
+    k = 2 + n % 2
+    G = random_generator(rng, q, k, n)
+    G[k - 1] = G[0]
+    assert_matches_oracle(GF(q), G)

@@ -1,5 +1,7 @@
 import itertools
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -134,6 +136,16 @@ def test_kernel_basis_matches_brute_force(q, n):
         if len(K):
             assert not matmul(F, M, K.T).any() if len(M) else True
         assert F.order ** K.shape[0] == brute_force_kernel_size(F, M, n)
+
+
+def test_kernel_basis_leaves_numpy_ma_unimported():
+    # np.setdiff1d pulls in numpy.ma on first use; a fresh interpreter shows whether the dual does
+    script = (
+        "import sys; from castleqec.fields import GF; from castleqec.linalg import kernel_basis; "
+        "kernel_basis(GF(9), [[1, 2, 3, 0], [0, 1, 4, 5]], 4); print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 130])
