@@ -3,13 +3,13 @@
 For q > 2 only coefficient vectors whose first nonzero entry is 1 are
 visited, since nonzero scalars keep weights; those with leading index i form
 the coset G[i] + span(G[i+1:]).  The trailing rows are expanded once into a
-column-major block of at most 2^16 words (n x words), and an odometer over
-the rows between i and the block shifts the whole block by one partial sum
-at a time.  The shifted words are never formed: block + partial is zero
-exactly where block == -partial, so a tally counts each word's zeros by
-comparison.  For q = 2 the rows are packed into uint64 limbs, the leading
-rows are walked in Gray-code order with one XOR per step, and weights are
-popcounts.
+column-major block of at most 2^16 words and 2^22 entries (n x words), so
+its memory is bounded for any n, and an odometer over the rows between i
+and the block shifts the whole block by one partial sum at a time.  The
+shifted words are never formed: block + partial is zero exactly where
+block == -partial, so a tally counts each word's zeros by comparison.  For
+q = 2 the rows are packed into uint64 limbs, the leading rows are walked in
+Gray-code order with one XOR per step, and weights are popcounts.
 """
 
 import itertools
@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 
 BACKEND = "python"  # the only backend; benchmark records name it
-_BLOCK_WORDS = 1 << 16
+_BLOCK_WORDS, _BLOCK_ENTRIES = 1 << 16, 1 << 22  # caps on the q > 2 block: its columns, and n times them
 
 
 def enumerate_weights(field, G):
@@ -37,7 +37,7 @@ def _projective_weights(field, G):
     q, (k, n) = field.order, G.shape
     multiples = field.mul_table[np.arange(q)[None, :, None], G[:, None, :]]  # s * G[i]
     kb = 0
-    while kb < k and q ** (kb + 1) <= _BLOCK_WORDS:
+    while kb < k and q ** (kb + 1) <= _BLOCK_WORDS and q ** (kb + 1) * n <= _BLOCK_ENTRIES:
         kb += 1
     k_pre = k - kb
     counter = np.uint8 if n < 256 else np.uint16  # holds any zero count up to n

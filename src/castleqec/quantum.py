@@ -128,9 +128,20 @@ def _twisted_rows(level, twist):
     return level.field.mul_table[level.matrix, twist[None, :]]
 
 
-def _in_certified_partner(level, twist):
-    """C_i <= C_(n-i) = x^-1 * C_i^perp as one i x i Gram product: x * C_i is orthogonal to C_i."""
-    return not linalg.matmul(level.field, _twisted_rows(level, twist), level.matrix.T).any()
+def _in_partner(level, below, partner_dual):
+    """Whether C_i = level lies in its partner, given that C_j = below <= C_i does: one (i - j) x i product.
+
+    partner_dual generates the partner's dual, x * C_i for C_(n-i) or C_i^[q~]
+    for C_i^perpH, so the gate asks whether a symmetric or hermitian form
+    B(a, b) = a . b' vanishes on C_i; it vanishes on C_j.  The rows R of C_i's
+    rref at pivots outside C_j's span C_i modulo C_j: a subcode's pivots are
+    among the code's, so a nonzero combination of R leads where C_j has no
+    pivot.  So B vanishes on C_i iff B(R, C_i) = 0.  The zero code as C_j
+    tests the whole level.
+    """
+    old = set(below.pivots)
+    fresh = [r for r, c in enumerate(level.pivots) if c not in old]
+    return not linalg.matmul(level.field, level.matrix[fresh], partner_dual.T).any()
 
 
 def level_step(seq, cert, construction):
@@ -150,7 +161,11 @@ def level_step(seq, cert, construction):
                    itself (scalar extension to F_{q^2} fixes every C_i).
     The gate of A is tested as hermitian self-orthogonality too: with
     C_(n-i) = C_i^perp, i + q(i) <= n says C_i^[q~] <= C_i^perp, which is
-    C_i <= C_i^perpH.  Every gate is one i x i Gram product.
+    C_i <= C_i^perpH.  Every gate is incremental: the step keeps the highest
+    level whose gate held, so a level at or below it passes with no product
+    (a subcode of a self-orthogonal code is self-orthogonal), and a level
+    above it pairs only the rows it adds against its own, one (i - j) x i
+    product.  This holds in any order of calls.
 
     A step builds no code but C_i, and asks the sequence for no other
     level.  C_(n-i) is the certified dual x^-1 * C_i^perp, and C_i <= C_(n-i)
@@ -178,18 +193,22 @@ def level_step(seq, cert, construction):
             f"{ev.curve.tag} first fails at m={seq.ms[0]}"
         )
     y = _twist_root(F, cert, q) if construction == "B" else None
+    held = seq.level(0)  # the highest level whose gate held
 
     def step(i):
+        nonlocal held
         if i == 0:
             return QuantumParams(n, n, 1, q, "exact", construction)
         if 2 * i > n:  # C_i <= C_(n-i) and C_i <= C_i^perpH both need 2i <= n
             return None
         level = seq.level(i) if y is None else seq.level(i).star(y)
-        if euclidean:
-            if not _in_certified_partner(level, cert.twist):
-                raise ValueError(f"{ev.curve.tag}: C_{i} is not in its certified partner C_{n - i}")
-        elif not level.is_self_orthogonal("hermitian"):
-            return None
+        if i > held.dimension:
+            partner_dual = _twisted_rows(level, cert.twist) if euclidean else F.pow_table(q)[level.matrix]
+            if not _in_partner(level, held, partner_dual):
+                if euclidean:
+                    raise ValueError(f"{ev.curve.tag}: C_{i} is not in its certified partner C_{n - i}")
+                return None
+            held = level
         params = _stabilizer_css(level, q, construction)
         return params.with_bound(dual_distance_bound(ev, seq.pole_of_level(i), cert))
 

@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from castleqec import linalg
 from castleqec.agcodes import (
     CodeSequence,
+    DualityCertificate,
     OnePointCode,
     certify_duality,
     incomplete_trace_search,
@@ -16,7 +18,7 @@ from castleqec.curves import evaluation_set_from_json
 from castleqec.fields import GF
 from castleqec.quantum import (
     QuantumParams,
-    _in_certified_partner,
+    _in_partner,
     _twist_root,
     _twisted_rows,
     css_hermitian,
@@ -250,6 +252,11 @@ def certified_partner(level, twist):
     return LinearCode.from_rref(F, n, linalg.kernel_basis(F, _twisted_rows(level, twist), n))
 
 
+def whole_level_gate(level, twist):
+    """The C gate on all of C_i: the incremental one with the zero code below."""
+    return _in_partner(level, LinearCode.zero(level.field, level.n), _twisted_rows(level, twist))
+
+
 @pytest.mark.parametrize("path", CURVE_FILES, ids=lambda p: p.stem)
 def test_certified_partner_is_the_sequence_level(path):
     ev = load(path)
@@ -260,10 +267,10 @@ def test_certified_partner_is_the_sequence_level(path):
     for i in range(1, n // 2 + 1):
         level, partner = seq.level(i), seq.level(n - i)
         assert certified_partner(level, cert.twist) == partner
-        assert partner.contains_code(level) and _in_certified_partner(level, cert.twist)
+        assert partner.contains_code(level) and whole_level_gate(level, cert.twist)
     # past n/2 the Gram test refuses, as containment does
     above, below = seq.level(n // 2 + 1), seq.level(n - n // 2 - 1)
-    assert not below.contains_code(above) and not _in_certified_partner(above, cert.twist)
+    assert not below.contains_code(above) and not whole_level_gate(above, cert.twist)
 
 
 @pytest.mark.parametrize(
@@ -410,3 +417,88 @@ def test_a_c_level_in_budget_enumerates_once_and_builds_no_dual(monkeypatch):
     p = step(4)
     assert (p.k, p.d_provenance) == (ev.n - 8, "exact")
     assert seen == [(4, ev.n)] and kernels_taken == []
+
+
+# -- a gate pairs only the rows its level adds ------------------------------------
+
+
+def gram_gates(seq, cert, construction):
+    """The gate of each level 1 <= i <= n/2 + 1 from all of C_i: its Gram product, x-twisted for C."""
+    F = seq.evset.field
+    y = _twist_root(F, cert, F.sqrt_order()) if construction == "B" else None
+    gates = {}
+    for i in range(1, seq.n // 2 + 2):
+        level = seq.level(i) if y is None else seq.level(i).star(y)
+        if construction == "C":
+            gates[i] = not linalg.matmul(F, _twisted_rows(level, cert.twist), level.matrix.T).any()
+        else:
+            gates[i] = level.is_self_orthogonal("hermitian")
+    return gates
+
+
+def step_gate(step, i):
+    """Whether step(i) passes its gate: None or a refused C partner says no."""
+    try:
+        return step(i) is not None
+    except ValueError as exc:
+        assert "is not in its certified partner" in str(exc)
+        return False
+
+
+def spy_pairings(monkeypatch, n):
+    """(rows, columns) of every product that pairs length-n words, from now on."""
+    seen = []
+    original = linalg.matmul
+
+    def spy(field, A, B):
+        if A.shape[1] == n:
+            seen.append((A.shape[0], B.shape[1]))
+        return original(field, A, B)
+
+    monkeypatch.setattr(linalg, "matmul", spy)
+    return seen
+
+
+@pytest.mark.parametrize("path", ORACLE_FILES, ids=lambda p: p.stem)
+def test_the_incremental_gate_decides_as_the_whole_level_test(monkeypatch, path):
+    monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
+    ev = load(path)
+    seq, cert = CodeSequence(ev), certify_duality(ev)
+    cases = [(c, cert) for c in ("A", "B", "C", "hermitian")]
+    if cert.status == "formally-self-dual":  # a false claim of self-duality, which the C gate must refuse
+        cases.append(("C", DualityCertificate("self-dual")))
+    pairings, checked = spy_pairings(monkeypatch, ev.n), 0
+    for construction, claim in cases:
+        try:
+            level_step(seq, claim, construction)
+        except ValueError:
+            continue  # the construction does not apply to this flag or field
+        gates = gram_gates(seq, claim, construction)
+        levels = list(gates)
+        for order in (levels, random.Random(path.stem).sample(levels, len(levels))):  # as a manifest may call
+            step, held = level_step(seq, claim, construction), 0
+            for i in order:
+                pairings.clear()
+                assert step_gate(step, i) == gates[i], (construction, claim.status, i)
+                # one product of the rows C_i adds to the highest level that held, none at or below it
+                assert pairings == ([(i - held, i)] if held < i <= ev.n // 2 else []), (construction, i)
+                if gates[i]:
+                    held = max(held, i)
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize(
+    "path,construction",
+    [(ROOT / "curves/hermitian-gf16.json", c) for c in ("A", "B", "C", "hermitian")]
+    + [(ROOT / "perfbench/curves/maximal-2-6.json", "C")],
+    ids=lambda v: v if isinstance(v, str) else v.stem,
+)
+def test_a_scan_gate_pairs_only_the_row_its_level_adds(monkeypatch, path, construction):
+    monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
+    ev = load(path)
+    seq, cert = CodeSequence(ev), certify_duality(ev)
+    pairings = spy_pairings(monkeypatch, ev.n)
+    last = scan_sequence(seq, cert, construction)[-1][0]
+    gated = range(1, min(last + 1, ev.n // 2) + 1)  # the levels scanned, and the one whose gate closed
+    assert last > 1 and pairings == [(1, i) for i in gated]
