@@ -120,10 +120,10 @@ class CodeSequence:
 
     D is the zero divisor of h(phi), whose pole divisor is nQ, so evaluation
     on L(mQ) has kernel h(phi) L((m - n)Q) and the flag grows exactly at the
-    dimension set of the semigroup: level i adds the basis function with
-    pole m_i.  Levels are built lazily: each one evaluates its function and
-    inserts the row into an accumulator, keeping the canonical RREF of every
-    level it passes, and a row that fails to enlarge the span is an error.
+    dimension set of the semigroup: C_i is spanned by the basis rows B[:i]
+    with poles m_1 .. m_i.  Rows are evaluated when first asked for, and an
+    echelon accumulator rejects one that fails to enlarge the span.  No
+    level is kept: level(i) builds C_i on each call.
     """
 
     def __init__(self, evset):
@@ -132,21 +132,30 @@ class CodeSequence:
         exponents = dict(evset.curve.basis_exponents(self.ms[-1]))
         self._exponents = [exponents[m] for m in self.ms]
         self._acc = linalg.RREFAccumulator(evset.field, evset.n)
-        self._levels = [LinearCode.zero(evset.field, evset.n)]
+        self._rows = np.zeros((0, evset.n), dtype=np.uint16)  # the basis rows evaluated so far
 
     @property
     def n(self):
         return self.evset.n
 
-    def level(self, i):
-        """The i-dimensional member C_i."""
-        acc = self._acc
-        while len(self._levels) <= i:
+    def rows(self, i):
+        """B[:i] in pole order; missing rows are evaluated in one call, at least as many again as are held."""
+        acc, evaluated = self._acc, len(self._rows)
+        if i > evaluated:
+            more = self.evset.monomial_rows(self._exponents[evaluated : max(i, 2 * evaluated)])
+            self._rows = np.concatenate([self._rows, more])
+        while acc.dimension < i:
             j = acc.dimension
-            if not acc.insert(self.evset.monomial_rows([self._exponents[j]])[0]):
+            if not acc.insert(self._rows[j]):
                 raise AssertionError(f"{self.evset.curve.tag}: level {j + 1} does not grow at pole {self.ms[j]}")
-            self._levels.append(LinearCode.from_rref(acc.field, acc.n, acc.snapshot(), acc.pivots))
-        return self._levels[i]
+        return self._rows[:i]
+
+    def level(self, i):
+        """C_i: the accumulator's RREF when it stands at i, else B[:i] eliminated anew."""
+        rows, acc = self.rows(i), self._acc
+        if acc.dimension == i:
+            return LinearCode.from_rref(acc.field, acc.n, acc.snapshot(), acc.pivots)
+        return LinearCode(acc.field, acc.n, rows)
 
     def pole_of_level(self, i):
         """m_i: the pole order at which the sequence reaches dimension i."""
@@ -178,10 +187,10 @@ def certify_duality(evset):
     """Certify that the dual of every C(mQ) is x * C(m^perp Q), m^perp = n + 2g - 2 - m.
 
     x is the residue twist of the evaluation set.  The certificate is the
-    dimension complements, dim C(mQ) + dim C(m^perp Q) = n, plus one product
-    saying x is orthogonal to C((n + 2g - 2)Q): products of L(mQ) with
-    L(m^perp Q) lie in L((n + 2g - 2)Q), so x * C(mQ) is orthogonal to
-    C(m^perp Q).  An all-ones x is exact self-duality.
+    dimension complements, dim C(mQ) + dim C(m^perp Q) = n, plus x being
+    orthogonal to C((n + 2g - 2)Q), a block of basis rows at a time: products
+    of L(mQ) with L(m^perp Q) lie in L((n + 2g - 2)Q), so x * C(mQ) is
+    orthogonal to C(m^perp Q).  An all-ones x is exact self-duality.
     """
     S = evset.curve.semigroup
     n, g = evset.n, S.genus
@@ -199,8 +208,11 @@ def certify_duality(evset):
     if x is None:
         reason = f"the curve records no side for fibration {evset.fibration}"
         return DualityCertificate("unverified", reason=reason)
-    if linalg.matmul(evset.field, evset.basis_rows(top)[1], x[:, None]).any():
-        return DualityCertificate("unverified", reason=f"the residue twist is not orthogonal to C({top}Q)")
+    expos = [e for _, e in evset.curve.basis_exponents(min(top, evset.dimension_set()[-1]))]
+    block = max(1, (1 << 22) // (8 * n))  # rows whose int64 exponent products take 4 MB
+    for b in range(0, len(expos), block):
+        if linalg.matmul(evset.field, evset.monomial_rows(expos[b : b + block]), x[:, None]).any():
+            return DualityCertificate("unverified", reason=f"the residue twist is not orthogonal to C({top}Q)")
     if (x == 1).all():
         return DualityCertificate("self-dual")
     return DualityCertificate("formally-self-dual", x)

@@ -62,10 +62,6 @@ class LinearCode:
         return code
 
     @classmethod
-    def zero(cls, field, n):
-        return cls.from_rref(field, n, np.zeros((0, n), dtype=np.uint16), ())
-
-    @classmethod
     def full(cls, field, n):
         return cls(field, n, np.eye(n, dtype=np.uint16))
 

@@ -121,27 +121,14 @@ def _twist_root(F, cert, qt):
     return y
 
 
-def _twisted_rows(level, twist):
-    """Generator rows of x * C_i; C_i's own rows on an exactly self-dual flag."""
-    if twist is None:
-        return level.matrix
-    return level.field.mul_table[level.matrix, twist[None, :]]
+def _in_partner(field, rows, held, partner_dual):
+    """Whether C_i = span(rows) lies in its partner, given that span(rows[:held]) does.
 
-
-def _in_partner(level, below, partner_dual):
-    """Whether C_i = level lies in its partner, given that C_j = below <= C_i does: one (i - j) x i product.
-
-    partner_dual generates the partner's dual, x * C_i for C_(n-i) or C_i^[q~]
-    for C_i^perpH, so the gate asks whether a symmetric or hermitian form
-    B(a, b) = a . b' vanishes on C_i; it vanishes on C_j.  The rows R of C_i's
-    rref at pivots outside C_j's span C_i modulo C_j: a subcode's pivots are
-    among the code's, so a nonzero combination of R leads where C_j has no
-    pivot.  So B vanishes on C_i iff B(R, C_i) = 0.  The zero code as C_j
-    tests the whole level.
+    partner_dual generates the partner's dual, x * C_i or C_i^[q~], and by
+    bilinearity the symmetric or hermitian form B(a, b) = a . b' vanishes on
+    C_i iff B(rows[held:], rows) = 0: one (i - held) x i product.
     """
-    old = set(below.pivots)
-    fresh = [r for r, c in enumerate(level.pivots) if c not in old]
-    return not linalg.matmul(level.field, level.matrix[fresh], partner_dual.T).any()
+    return not linalg.matmul(field, rows[held:], partner_dual.T).any()
 
 
 def level_step(seq, cert, construction):
@@ -162,10 +149,10 @@ def level_step(seq, cert, construction):
     The gate of A is tested as hermitian self-orthogonality too: with
     C_(n-i) = C_i^perp, i + q(i) <= n says C_i^[q~] <= C_i^perp, which is
     C_i <= C_i^perpH.  Every gate is incremental: the step keeps the highest
-    level whose gate held, so a level at or below it passes with no product
+    level j whose gate held, so a level at or below it passes with no product
     (a subcode of a self-orthogonal code is self-orthogonal), and a level
-    above it pairs only the rows it adds against its own, one (i - j) x i
-    product.  This holds in any order of calls.
+    above it pairs its new basis rows B[j:i] (y * B[j:i] for B) with its own,
+    one (i - j) x i product.  This holds in any order of calls.
 
     A step builds no code but C_i, and asks the sequence for no other
     level.  C_(n-i) is the certified dual x^-1 * C_i^perp, and C_i <= C_(n-i)
@@ -193,7 +180,7 @@ def level_step(seq, cert, construction):
             f"{ev.curve.tag} first fails at m={seq.ms[0]}"
         )
     y = _twist_root(F, cert, q) if construction == "B" else None
-    held = seq.level(0)  # the highest level whose gate held
+    held = 0  # the highest level whose gate held
 
     def step(i):
         nonlocal held
@@ -201,14 +188,18 @@ def level_step(seq, cert, construction):
             return QuantumParams(n, n, 1, q, "exact", construction)
         if 2 * i > n:  # C_i <= C_(n-i) and C_i <= C_i^perpH both need 2i <= n
             return None
-        level = seq.level(i) if y is None else seq.level(i).star(y)
-        if i > held.dimension:
-            partner_dual = _twisted_rows(level, cert.twist) if euclidean else F.pow_table(q)[level.matrix]
-            if not _in_partner(level, held, partner_dual):
+        if i > held:
+            rows = seq.rows(i) if y is None else F.mul_table[seq.rows(i), y[None, :]]
+            if not euclidean:
+                partner_dual = F.pow_table(q)[rows]
+            else:  # x * C_i; C_i itself on an exactly self-dual flag
+                partner_dual = rows if cert.twist is None else F.mul_table[rows, cert.twist[None, :]]
+            if not _in_partner(F, rows, held, partner_dual):
                 if euclidean:
                     raise ValueError(f"{ev.curve.tag}: C_{i} is not in its certified partner C_{n - i}")
                 return None
-            held = level
+            held = i
+        level = seq.level(i) if y is None else seq.level(i).star(y)
         params = _stabilizer_css(level, q, construction)
         return params.with_bound(dual_distance_bound(ev, seq.pole_of_level(i), cert))
 

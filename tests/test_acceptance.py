@@ -339,7 +339,7 @@ def test_dual_ag_duality_sweep():
         for m in ev.dimension_set():
             mperp = top - m
             if mperp < 0:
-                expected = LinearCode.zero(ev.field, ev.n)
+                expected = LinearCode(ev.field, ev.n)
             else:
                 expected = OnePointCode(ev, mperp).code
             assert OnePointCode(ev, m).code.dual() == expected.star(x), (label, m)

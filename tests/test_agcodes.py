@@ -55,11 +55,12 @@ def test_sequence_structure():
         seq = CodeSequence(ev)
         n = ev.n
         assert len(seq.ms) == n
-        assert seq.level(0).dimension == 0
-        assert seq.level(n).dimension == n
+        levels = [seq.level(i) for i in range(n + 1)]  # one ascending sweep
+        assert levels[0].dimension == 0
+        assert levels[n].dimension == n
         for i in range(1, n + 1):
-            assert seq.level(i).dimension == i
-            assert seq.level(i - 1) <= seq.level(i)
+            assert levels[i].dimension == i
+            assert levels[i - 1] <= levels[i]
 
 
 def test_sequence_levels_are_onepoint_codes():
@@ -154,8 +155,9 @@ def test_duality_certificate_twisted(make):
     assert len(set(cert.twist.tolist())) > 1  # genuinely not a scalar twist
     # explicit per-level verification of the certified identity
     seq = CodeSequence(ev)
+    levels = [seq.level(i) for i in range(ev.n + 1)]  # one ascending sweep
     for i in range(ev.n + 1):
-        assert seq.level(i).dual() == seq.level(ev.n - i).star(cert.twist)
+        assert levels[i].dual() == levels[ev.n - i].star(cert.twist)
 
 
 def constrained_pair_gram_ok(ev, x):
@@ -257,8 +259,9 @@ def test_self_dual_certificate_matches_explicit_duals():
         ev = evset(builder)
         seq = CodeSequence(ev)
         assert certify_duality(ev).status == "self-dual"
+        levels = [seq.level(i) for i in range(ev.n + 1)]  # one ascending sweep
         for i in range(ev.n + 1):
-            assert seq.level(i).dual() == seq.level(ev.n - i)
+            assert levels[i].dual() == levels[ev.n - i]
 
 
 def test_goppa_bound_suzuki_dual_poles():
@@ -382,6 +385,16 @@ def test_a_sequence_and_its_levels_run_no_elimination(monkeypatch):
     for i in (0, 1, 5, 12):
         seq.level(i)
     assert calls == []
+
+
+@pytest.mark.parametrize("path", [CURVE_FILES[0], TWISTED_FILES[0], ALL_CURVE_FILES[-1]], ids=lambda p: p.stem)
+def test_levels_asked_for_in_descending_order_equal_the_ascending_ones(path):
+    ev = _from_file(path)()
+    top = min(ev.n, 40)
+    descending = CodeSequence(ev)
+    down = [descending.level(i) for i in range(top, -1, -1)]  # all but the first eliminated anew
+    ascending = CodeSequence(ev)
+    assert down[::-1] == [ascending.level(i) for i in range(top + 1)]
 
 
 def test_a_level_that_does_not_grow_is_an_error():

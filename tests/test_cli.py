@@ -541,7 +541,7 @@ def test_malformed_descriptor_exits_2_from_a_process(tmp_path):
 
 def test_out_of_memory_exits_2_without_a_traceback(tmp_path, monkeypatch):
     resource = pytest.importorskip("resource")
-    path = tmp_path / "suzuki128.json"  # n = 16,384: the duality certificate wants a 2 GiB array
+    path = tmp_path / "suzuki128.json"  # n = 16,384: the code C(16000Q) is a 1.8 GiB array
     path.write_text(json.dumps({"family": "suzuki", "params": {"q0": 8}}))
     monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # per-thread BLAS buffers would count against the cap
@@ -551,7 +551,7 @@ def test_out_of_memory_exits_2_without_a_traceback(tmp_path, monkeypatch):
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     proc = subprocess.run(
-        [sys.executable, "-m", "castleqec.cli", "scan", "--curve-file", str(path), "--construction", "C", "--max-i", "40"],
+        [sys.executable, "-m", "castleqec.cli", "build", "--curve-file", str(path), "--m", "16000"],
         capture_output=True,
         text=True,
         preexec_fn=cap_address_space,

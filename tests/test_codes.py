@@ -40,7 +40,7 @@ def test_canonical_equality():
 
 def test_dimension_and_validation():
     F = GF(4)
-    assert LinearCode.zero(F, 6).dimension == 0
+    assert LinearCode(F, 6).dimension == 0
     assert LinearCode.full(F, 6).dimension == 6
     with pytest.raises(ValueError):
         LinearCode(F, 3, [[1, 2, 3, 0]])
@@ -66,8 +66,8 @@ def test_dual_involution_and_dimensions(q):
 
 def test_zero_full_duality():
     F = GF(8)
-    assert LinearCode.zero(F, 5).dual() == LinearCode.full(F, 5)
-    assert LinearCode.full(F, 5).dual() == LinearCode.zero(F, 5)
+    assert LinearCode(F, 5).dual() == LinearCode.full(F, 5)
+    assert LinearCode.full(F, 5).dual() == LinearCode(F, 5)
 
 
 def test_containment():
@@ -121,7 +121,7 @@ def test_macwilliams_matches_enumeration(q):
 
 def test_min_weight_statuses(monkeypatch):
     F = GF(2)
-    assert LinearCode.zero(F, 5).min_weight() == (None, "empty")
+    assert LinearCode(F, 5).min_weight() == (None, "empty")
     C = LinearCode(F, 7, HAMMING_7_4)
     monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
     assert C.min_weight() == (None, "not-computed")
@@ -188,7 +188,7 @@ def test_relative_min_weight():
     rep = LinearCode(F, 5, [[1, 1, 1, 1, 1]])
     assert relative_min_weight(rep, full) == (1, "exact")
     assert relative_min_weight(rep, rep) == (None, "empty")
-    assert relative_min_weight(LinearCode.zero(F, 5), rep) == (5, "exact")
+    assert relative_min_weight(LinearCode(F, 5), rep) == (5, "exact")
     ext = LinearCode(F, 8, EXT_HAMMING)
     sub = LinearCode(F, 8, EXT_HAMMING[:1])
     d, status = relative_min_weight(sub, ext)
@@ -255,7 +255,7 @@ def test_trace_code_examples():
     T = rep.trace_code(F2)
     assert T == LinearCode(F2, 5, [[1, 1, 1, 1, 1]])
     assert LinearCode.full(F4, 4).trace_code(F2) == LinearCode.full(F2, 4)
-    assert LinearCode.zero(F4, 4).trace_code(F2).dimension == 0
+    assert LinearCode(F4, 4).trace_code(F2).dimension == 0
 
 
 def test_subfield_subcode_examples():

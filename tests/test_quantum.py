@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,6 @@ from castleqec.quantum import (
     QuantumParams,
     _in_partner,
     _twist_root,
-    _twisted_rows,
     css_hermitian,
     css_nested,
     css_self_orthogonal,
@@ -116,10 +117,11 @@ def test_construction_a_gate_is_hermitian_self_orthogonality():
         seq = CodeSequence(ev)
         assert certify_duality(ev).status == "self-dual"
         n, qt = seq.n, ev.field.sqrt_order()
+        levels = [seq.level(j) for j in range(n + 1)]  # one ascending sweep
         for i in range(1, n + 1):
-            level = seq.level(i)
+            level = levels[i]
             frob = level.frobenius_power(qt)
-            q_i = next(j for j in range(n + 1) if seq.level(j).contains_code(frob))
+            q_i = next(j for j in range(n + 1) if levels[j].contains_code(frob))
             assert (i + q_i <= n) == (level <= level.hermitian_dual())
 
 
@@ -241,6 +243,13 @@ def load(path):
     return evaluation_set_from_json(json.loads(Path(path).read_text()))
 
 
+def twisted_rows(field, rows, twist):
+    """x * rows; the rows themselves on an exactly self-dual flag."""
+    if twist is None:
+        return rows
+    return field.mul_table[rows, twist[None, :]]
+
+
 def certified_partner(level, twist):
     """C_(n-i) = x^-1 * C_i^perp, read off the duality certificate.
 
@@ -249,12 +258,12 @@ def certified_partner(level, twist):
     n - i rows of the sequence itself.
     """
     F, n = level.field, level.n
-    return LinearCode.from_rref(F, n, linalg.kernel_basis(F, _twisted_rows(level, twist), n))
+    return LinearCode.from_rref(F, n, linalg.kernel_basis(F, twisted_rows(F, level.matrix, twist), n))
 
 
 def whole_level_gate(level, twist):
-    """The C gate on all of C_i: the incremental one with the zero code below."""
-    return _in_partner(level, LinearCode.zero(level.field, level.n), _twisted_rows(level, twist))
+    """The C gate on all of C_i: the incremental one with no rows held."""
+    return _in_partner(level.field, level.matrix, 0, twisted_rows(level.field, level.matrix, twist))
 
 
 @pytest.mark.parametrize("path", CURVE_FILES, ids=lambda p: p.stem)
@@ -264,12 +273,13 @@ def test_certified_partner_is_the_sequence_level(path):
     if cert.status == "unverified":
         pytest.skip("no verified certificate")
     seq, n = CodeSequence(ev), ev.n
+    levels = [seq.level(i) for i in range(n + 1)]  # one ascending sweep: no level is eliminated anew
     for i in range(1, n // 2 + 1):
-        level, partner = seq.level(i), seq.level(n - i)
+        level, partner = levels[i], levels[n - i]
         assert certified_partner(level, cert.twist) == partner
         assert partner.contains_code(level) and whole_level_gate(level, cert.twist)
     # past n/2 the Gram test refuses, as containment does
-    above, below = seq.level(n // 2 + 1), seq.level(n - n // 2 - 1)
+    above, below = levels[n // 2 + 1], levels[n - n // 2 - 1]
     assert not below.contains_code(above) and not whole_level_gate(above, cert.twist)
 
 
@@ -298,7 +308,7 @@ def test_a_budget_one_scan_builds_no_dual(monkeypatch, path, construction):
     rows = scan_sequence(seq, cert, construction)
     assert len(rows) > 2 and all(p.d_provenance == "lower-bound" for _, p in rows[1:])
     assert built == []
-    assert len(seq._levels) <= ev.n // 2 + 2  # nothing past the first closed gate
+    assert seq._acc.dimension <= ev.n // 2 + 1  # nothing past the first closed gate
 
 
 def test_a_one_level_c_scan_keeps_two_levels(monkeypatch):
@@ -307,7 +317,26 @@ def test_a_one_level_c_scan_keeps_two_levels(monkeypatch):
     monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
     rows = scan_sequence(seq, certify_duality(ev), "C", max_i=1)
     assert [i for i, _ in rows] == [0, 1]
-    assert len(seq._levels) <= 2
+    assert seq._acc.dimension <= 1
+
+
+def test_a_full_c_scan_leaves_at_most_one_level_alive(monkeypatch):
+    ev = load(ROOT / "curves/hermitian-gf16.json")
+    seq, handed = CodeSequence(ev), []
+    original = CodeSequence.level
+
+    def recording(self, i):
+        level = original(self, i)
+        handed.append(weakref.ref(level))
+        return level
+
+    monkeypatch.setattr(CodeSequence, "level", recording)
+    monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
+    rows = scan_sequence(seq, certify_duality(ev), "C")
+    assert [i for i, _ in rows] == list(range(ev.n // 2 + 1))  # the whole flag up to n/2
+    assert len(handed) == ev.n // 2  # one level per step past the trivial one
+    gc.collect()
+    assert sum(ref() is not None for ref in handed) <= 1
 
 
 def test_a_nested_pair_stops_at_its_first_uncomputed_side(monkeypatch):
@@ -422,18 +451,30 @@ def test_a_c_level_in_budget_enumerates_once_and_builds_no_dual(monkeypatch):
 # -- a gate pairs only the rows its level adds ------------------------------------
 
 
-def gram_gates(seq, cert, construction):
-    """The gate of each level 1 <= i <= n/2 + 1 from all of C_i: its Gram product, x-twisted for C."""
-    F = seq.evset.field
+def first_independent_rows(ev, count):
+    """The first count basis rows at the rank profile of the whole basis, found by an rref of its own.
+
+    The first i of them span C_i (test_sequence_levels_are_the_first_independent_basis_rows).
+    """
+    _, rows = ev.basis_rows(ev.dimension_set()[-1])
+    _, grew = linalg.rref(ev.field, rows.T)
+    return rows[list(grew[:count])]
+
+
+def gram_gates(F, rows, cert, construction):
+    """The gate of each level 1 <= i <= len(rows) from all of C_i = span(rows[:i]).
+
+    One Gram matrix of the rows, x-twisted for C and hermitian otherwise:
+    the form vanishes on C_i iff it does on its leading i x i block.
+    """
     y = _twist_root(F, cert, F.sqrt_order()) if construction == "B" else None
-    gates = {}
-    for i in range(1, seq.n // 2 + 2):
-        level = seq.level(i) if y is None else seq.level(i).star(y)
-        if construction == "C":
-            gates[i] = not linalg.matmul(F, _twisted_rows(level, cert.twist), level.matrix.T).any()
-        else:
-            gates[i] = level.is_self_orthogonal("hermitian")
-    return gates
+    if y is not None:
+        rows = F.mul_table[rows, y[None, :]]
+    if construction == "C":
+        gram = linalg.matmul(F, twisted_rows(F, rows, cert.twist), rows.T)
+    else:
+        gram = linalg.matmul(F, rows, F.pow_table(F.sqrt_order())[rows].T)
+    return {i: not gram[:i, :i].any() for i in range(1, len(rows) + 1)}
 
 
 def step_gate(step, i):
@@ -463,20 +504,21 @@ def spy_pairings(monkeypatch, n):
 def test_the_incremental_gate_decides_as_the_whole_level_test(monkeypatch, path):
     monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
     ev = load(path)
-    seq, cert = CodeSequence(ev), certify_duality(ev)
+    cert = certify_duality(ev)
+    rows = first_independent_rows(ev, ev.n // 2 + 1)
     cases = [(c, cert) for c in ("A", "B", "C", "hermitian")]
     if cert.status == "formally-self-dual":  # a false claim of self-duality, which the C gate must refuse
         cases.append(("C", DualityCertificate("self-dual")))
     pairings, checked = spy_pairings(monkeypatch, ev.n), 0
     for construction, claim in cases:
         try:
-            level_step(seq, claim, construction)
+            level_step(CodeSequence(ev), claim, construction)
         except ValueError:
             continue  # the construction does not apply to this flag or field
-        gates = gram_gates(seq, claim, construction)
-        levels = list(gates)
-        for order in (levels, random.Random(path.stem).sample(levels, len(levels))):  # as a manifest may call
-            step, held = level_step(seq, claim, construction), 0
+        gates = gram_gates(ev.field, rows, claim, construction)
+        gated = list(gates)
+        for order in (gated, random.Random(path.stem).sample(gated, len(gated))):  # as a manifest may call
+            step, held = level_step(CodeSequence(ev), claim, construction), 0
             for i in order:
                 pairings.clear()
                 assert step_gate(step, i) == gates[i], (construction, claim.status, i)
