@@ -1,8 +1,10 @@
 """Quantum stabilizer codes from one-point algebraic-geometry codes, exactly.
 
 Everything is exact integer arithmetic over small finite fields.  There is
-no rounding, by construction: floats appear only as exact integer
-accumulators in the BLAS product.  There are no probabilistic shortcuts.  See README.md for the CLI and the library tour.
+no rounding, by construction: a product with one row or one column in
+characteristic 2 is a table gather and an XOR reduction, and floats appear
+only as exact integer accumulators in the BLAS product.  There are no
+probabilistic shortcuts.  See README.md for the CLI and the library tour.
 """
 
 from .agcodes import (

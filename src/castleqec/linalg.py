@@ -2,9 +2,10 @@
 
 Matrices are numpy uint16 arrays of element indices; all arithmetic goes
 through the owning field's add/mul tables via fancy indexing, so everything
-stays exact.  Products run in floating-point BLAS on base-p digit planes,
-used only as an exact integer accumulator.  Shapes follow the coding
-convention: rows are vectors.
+stays exact.  In characteristic 2 a product with one row or one column is
+one mul_table gather and an XOR reduction.  Every other product runs in
+floating-point BLAS on base-p digit planes, used only as an exact integer
+accumulator.  Shapes follow the coding convention: rows are vectors.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import functools
 
 import numpy as np
 
-_BLOCK = 1 << 16  # entries of the right-hand digit planes held at once
+_BLOCK = 1 << 16  # entries of a product's gather or right-hand digit planes held at once
 
 
 def as_matrix(rows, n=None):
@@ -130,9 +131,12 @@ def _digit_tables(field):
 def matmul(field, A, B):
     """Matrix product over the field; A is (m, t), B is (t, n).
 
-    With A = sum_i X^i A_i over its digit planes A_i (GF(p)-valued), digit
-    j of AB is sum_i A_i D_ij mod p, where D_ij is digit plane j of X^i B.
-    So one BLAS product [A_0 .. A_(k-1)] [D_ij] gives every digit at once.
+    In characteristic 2 field addition is XOR of element indices, so a
+    product with one row or one column is a mul_table gather and an XOR
+    reduction, _BLOCK gathered entries at a time.  Every other product runs
+    in BLAS: with A = sum_i X^i A_i over its digit planes A_i (GF(p)-valued),
+    digit j of AB is sum_i A_i D_ij mod p, where D_ij is digit plane j of
+    X^i B.  So one BLAS product [A_0 .. A_(k-1)] [D_ij] gives every digit.
     Its entries are integers at most k t (p-1)^2, exact in float32 below
     2^24 and in float64 below 2^53: nothing is ever rounded.  The shifted
     planes are built for the smaller outer side, a block of columns at a
@@ -140,6 +144,14 @@ def matmul(field, A, B):
     """
     A, B = as_matrix(A), as_matrix(B)
     assert A.shape[1] == B.shape[0], f"shape mismatch {A.shape} x {B.shape}"
+    if field.p == 2 and 1 in (A.shape[0], B.shape[1]):
+        row = A.shape[0] == 1
+        a, M = (A[0], B) if row else (B[:, 0], A.T)  # out = sum_r a[r] M[r]
+        out = np.zeros(M.shape[1], dtype=np.uint16)
+        step = max(1, _BLOCK // max(M.shape[1], 1))
+        for r in range(0, len(a), step):
+            out ^= np.bitwise_xor.reduce(field.mul_table[a[r : r + step, None], M[r : r + step]], axis=0)
+        return out[None, :] if row else out[:, None]
     swap = A.shape[0] < B.shape[1]
     if swap:  # AB = (B^T A^T)^T
         A, B = B.T, A.T

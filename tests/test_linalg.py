@@ -170,6 +170,8 @@ def test_matmul_matches_scalar_oracle(q):
     F = GF(q)
     rng = random.Random(77 + q)
     shapes = [(1, 1, 1), (3, 5, 7), (7, 5, 3), (6, 9, 6), (1, 8, 5), (5, 8, 1), (0, 3, 4), (4, 3, 0), (3, 0, 4)]
+    # one row or one column: the XOR reduction in characteristic 2, the BLAS path for odd p
+    shapes += [(1, 0, 5), (5, 0, 1), (1, 7, 1), (1, 300, 40), (40, 300, 1)]
     if q == 1021:
         shapes.append((3, 40, 4))  # k t (p-1)^2 >= 2^24: the float64 path
     for m, t, n in shapes:
@@ -182,9 +184,28 @@ def test_matmul_column_blocks_match_scalar_oracle(monkeypatch, q):
     F = GF(q)
     rng = random.Random(q)
     A, B = random_matrix(rng, q, 9, 6), random_matrix(rng, q, 6, 7)
-    monkeypatch.setattr(linalg, "_BLOCK", 1)  # one column of B at a time
+    monkeypatch.setattr(linalg, "_BLOCK", 1)  # one column of B at a time, or one term of a thin XOR reduction
     assert (matmul(F, A, B) == scalar_matmul(F, A, B)).all()
     assert (matmul(F, B.T, A.T) == scalar_matmul(F, B.T, A.T)).all()
+    for X, Y in [(A[:1], B), (A, B[:, :1])]:
+        assert (matmul(F, X, Y) == scalar_matmul(F, X, Y)).all()
+
+
+@pytest.mark.parametrize("q", [4, 64, 1024])
+def test_thin_products_in_characteristic_2_build_no_digit_planes(monkeypatch, q):
+    F = GF(q)
+    rng = random.Random(q + 2)
+    A, B = random_matrix(rng, q, 1, 20), random_matrix(rng, q, 20, 6)
+    expected = (scalar_matmul(F, A, B), scalar_matmul(F, B.T, A.T))
+    R, pivots = rref(F, B.T)
+
+    def no_planes(field):
+        raise AssertionError("a thin product built digit planes")
+
+    monkeypatch.setattr(linalg, "_digit_tables", no_planes)
+    assert (matmul(F, A, B) == expected[0]).all()
+    assert (matmul(F, B.T, A.T) == expected[1]).all()
+    assert not reduce_row(F, R, pivots, matmul(F, A[:, :6], B.T)[0]).any()  # a combination of B's columns
 
 
 @pytest.mark.parametrize("q", [2, 3, 8, 9, 81])
