@@ -22,7 +22,7 @@ import operator
 import numpy as np
 
 from .fields import GF, MAX_ORDER, UnsupportedFieldError, field_from_json, json_int, json_ints
-from .semigroups import NumericalSemigroup
+from .semigroups import NumericalSemigroup, accumulate_classes
 
 
 class PointedCurve:
@@ -64,35 +64,35 @@ class PointedCurve:
 
         One monomial per nongap: the first exponent tuple in product order
         realizing that pole order, i.e. each exponent in turn as small as the
-        later generators allow.  reach[j][s] says whether s is a sum of
-        multiples of pole_orders[j:].  With power_base = q0, whenever a pole
-        order is q0 times another nongap the basis function is literally the
-        q0-th power of the lower one, which the trace constructions rely on.
+        later generators allow: generator j, of pole order v, takes (s - t)/v
+        of the remainder s, for the largest t <= s, t = s (mod v), they reach.
+        With power_base = q0, whenever a pole order is q0 times another nongap
+        the basis function is literally the q0-th power of the lower one,
+        which the trace constructions rely on.
         """
         if m < 0:
             return []
-        reach = [np.arange(m + 1) == 0]  # no generators reach only 0; prepend the rest, last first
+        s = np.arange(m + 1)
+        reach = [s == 0]  # reach[j][s]: s is a sum of multiples of pole_orders[j:]; built last first
         for v in reversed(self.pole_orders):
-            row = reach[0].copy()
-            for s in range(v, m + 1, v):
-                row[s:] |= reach[0][: m + 1 - s]
-            reach.insert(0, row)
-        nongaps = self.semigroup.elements_up_to(m)
-        assert np.flatnonzero(reach[0]).tolist() == nongaps, "pole orders must generate the semigroup"
-        rest = np.array(nongaps, dtype=np.int64)
-        expos = np.zeros((len(nongaps), len(self.pole_orders)), dtype=np.int64)
+            reach.insert(0, accumulate_classes(np.logical_or, reach[0], v))
+        nongaps = np.flatnonzero(reach[0])
+        assert nongaps.tolist() == self.semigroup.elements_up_to(m), "pole orders must generate the semigroup"
+        rest = nongaps.copy()
+        expos = np.empty((len(nongaps), len(self.pole_orders)), dtype=np.int64)
         for j, v in enumerate(self.pole_orders):
-            short = ~reach[j + 1][rest]  # the remainder needs more of generator j
-            while short.any():
-                expos[short, j] += 1
-                rest[short] -= v
-                short[short] = ~reach[j + 1][rest[short]]
+            below = accumulate_classes(np.maximum, np.where(reach[j + 1], s, -1), v)  # the t of each s
+            expos[:, j] = (rest - below[rest]) // v
+            rest -= v * expos[:, j]
         if power_base is not None and power_base > 1:
-            row_of = {rho: i for i, rho in enumerate(nongaps)}
-            for i, rho in enumerate(nongaps):
-                if rho % power_base == 0 and rho // power_base in row_of:
-                    expos[i] = power_base * expos[row_of[rho // power_base]]
-        return [(rho, tuple(int(e) for e in row)) for rho, row in zip(nongaps, expos)]
+            low = nongaps // power_base
+            src = np.searchsorted(nongaps, low)  # <= the row itself, since low <= rho
+            hit = np.flatnonzero((nongaps % power_base == 0) & (nongaps[src] == low))
+            power = power_base
+            while power <= m:  # pass t settles every chain of t q0-th powers, whose top is >= q0^t
+                expos[hit] = power_base * expos[src[hit]]
+                power *= power_base
+        return list(zip(nongaps.tolist(), zip(*expos.T.tolist())))
 
     def __repr__(self):
         return f"<curve {self.tag}: genus {self.genus} over {self.field!r}, {self.num_rational_points} points>"

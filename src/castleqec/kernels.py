@@ -9,7 +9,10 @@ and the block shifts the whole block by one partial sum at a time.  The
 shifted words are never formed: block + partial is zero exactly where
 block == -partial, so a tally counts each word's zeros by comparison.  For
 q = 2 the rows are packed into uint64 limbs, the leading rows are walked in
-Gray-code order with one XOR per step, and weights are popcounts.
+Gray-code order with one XOR per step, and weights are popcounts.  If the
+rows sum to the all-ones word, which for an echelon form means 1 is in the
+code, flipping every coefficient maps w to w + 1, of weight n - wt(w): only
+the 2^(k-1) words of the rows after the first are walked.
 """
 
 import itertools
@@ -25,7 +28,7 @@ _BLOCK_WORDS, _BLOCK_ENTRIES = 1 << 16, 1 << 22  # caps on the q > 2 block: its 
 def enumerate_weights(field, G):
     """[A_0, ..., A_n] as int64, over all q^k coefficient vectors of G.
 
-    Uncached and unbudgeted: it visits (q^k - 1)/(q - 1) words, 2^k for q = 2.
+    Uncached and unbudgeted: it visits (q^k - 1)/(q - 1) words, 2^k for q = 2 (2^(k-1) when the rows sum to 1).
     """
     G = np.asarray(G, dtype=np.uint16)
     if G.ndim != 2:
@@ -65,6 +68,9 @@ def _projective_weights(field, G):
 
 def _binary_weights(G):
     k, n = G.shape
+    if k and np.bitwise_xor.reduce(G, axis=0).all():  # the rows sum to 1: c -> c + 1 maps w to w + 1
+        counts = _binary_weights(G[1:])  # the words with c_0 = 0; flipping c gives the rest
+        return counts + counts[::-1]
     packed = np.packbits(G.astype(np.uint8), axis=1, bitorder="little")
     rows = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
     k_pre = max(k - 16, 0)

@@ -14,6 +14,7 @@ bound, flagging the provenance.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -239,26 +240,26 @@ def gv_terms(n, k, d, q):
     return lhs, rhs
 
 
+_GV_SUMS = {}  # (n, q) -> the partial sums gv_status has needed so far
+
+
 def gv_status(n, k, d, q):
     """Classify [[n, k, d]]_q against the quantum Gilbert-Varshamov threshold.
 
     Applicable when n > k >= 2, d >= 2 and n = k (mod 2).  d' is feasible when
     (q^(n-k+2) - 1)/(q^2 - 1) > sum_{i=1}^{d'-1} (q^2-1)^(i-1) C(n, i); d_max
-    is the largest feasible d' (or 1 when even d' = 2 fails).  Returns
-    (status, d_max) with status "below", "meets", "exceeds" or
+    is the largest feasible d' (or 1 when even d' = 2 fails), found by bisecting
+    the sums for (n, q), kept and extended as far as a left side needs them.
+    Returns (status, d_max) with status "below", "meets", "exceeds" or
     "not-applicable".
     """
     if not (n > k >= 2 and d >= 2 and (n - k) % 2 == 0):
         return "not-applicable", None
     lhs, _ = gv_terms(n, k, 1, q)
-    d_max = 1
-    rhs = 0
-    for dp in range(2, n + 2):
-        rhs += (q * q - 1) ** (dp - 2) * math.comb(n, dp - 1)
-        if lhs > rhs:
-            d_max = dp
-        else:
-            break
+    sums = _GV_SUMS.setdefault((n, q), [0])  # sums[j] = sum_{i=1}^{j} (q^2-1)^(i-1) C(n, i)
+    while len(sums) <= n and sums[-1] < lhs:
+        sums.append(sums[-1] + (q * q - 1) ** (len(sums) - 1) * math.comb(n, len(sums)))
+    d_max = bisect.bisect_left(sums, lhs, 1)
     if d < d_max:
         return "below", d_max
     if d == d_max:

@@ -13,6 +13,13 @@ import math
 import numpy as np
 
 
+def accumulate_classes(ufunc, values, g):
+    """ufunc.accumulate down each residue class mod g of a 1-D array: entry s
+    combines values[s % g], values[s % g + g], ..., values[s]."""
+    padded = np.concatenate([values, np.zeros(-len(values) % g, values.dtype)])  # trails every class
+    return ufunc.accumulate(padded.reshape(-1, g), axis=0).ravel()[: len(values)]
+
+
 class NumericalSemigroup:
     def __init__(self, generators):
         gens = sorted(set(int(g) for g in generators))
@@ -49,18 +56,11 @@ class NumericalSemigroup:
         self.generators = tuple(int(s) for s in np.flatnonzero(self._member[:size] & (self._nu == 2)) if s)
 
     def _sieve(self, bound):
-        """Members in [0, bound]: closing {0} under each generator in turn.
-
-        Closing under g is a running OR down each residue class mod g, which
-        is one accumulate over the rows of the vector reshaped to width g.
-        """
-        member = np.zeros(bound + 1, dtype=bool)
-        member[0] = True
+        """Members in [0, bound]: closing {0} under each generator g in turn,
+        a running OR down each residue class mod g."""
+        member = np.arange(bound + 1) == 0
         for g in self._gens:
-            rows = -(-(bound + 1) // g)
-            padded = np.zeros(rows * g, dtype=bool)
-            padded[: bound + 1] = member
-            member = np.logical_or.accumulate(padded.reshape(rows, g), axis=0).ravel()[: bound + 1]
+            member = accumulate_classes(np.logical_or, member, g)
         return member
 
     # -- membership and counting ------------------------------------------------
@@ -77,7 +77,7 @@ class NumericalSemigroup:
         if m < 0:
             return []
         inside = min(m, len(self._member) - 1)
-        out = [int(v) for v in np.nonzero(self._member[: inside + 1])[0]]
+        out = np.flatnonzero(self._member[: inside + 1]).tolist()
         out.extend(range(inside + 1, m + 1))
         return out
 

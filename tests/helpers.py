@@ -6,6 +6,7 @@ compare the package against; no command runs them.
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -13,6 +14,7 @@ from castleqec import codes, kernels, linalg
 from castleqec.codes import LinearCode
 from castleqec.curves import CATALOGUE, EvaluationSet, curve_from_json, hyperelliptic_odd
 from castleqec.fields import GF, UnsupportedFieldError, embedding, prime_power
+from castleqec.quantum import gv_terms
 
 # One builder per named curve of CATALOGUE, each with its own __name__: test
 # ids and the keys of per-curve tables come from it.  They build the curve
@@ -172,3 +174,24 @@ def evaluate_function(ev, terms):
     """Evaluate a list of (coefficient, exponent tuple) terms at the points."""
     coeffs = np.array([[c for c, _ in terms]], dtype=np.uint16)
     return linalg.matmul(ev.field, coeffs, ev.monomial_rows([e for _, e in terms]))[0]
+
+
+def gv_status_by_summing(n, k, d, q):
+    """gv_status recomputed term by term: the sum grows with d' until it
+    reaches the left side, so d_max is the last d' whose sum stays below."""
+    if not (n > k >= 2 and d >= 2 and (n - k) % 2 == 0):
+        return "not-applicable", None
+    lhs, _ = gv_terms(n, k, 1, q)
+    d_max = 1
+    rhs = 0
+    for dp in range(2, n + 2):
+        rhs += (q * q - 1) ** (dp - 2) * math.comb(n, dp - 1)
+        if lhs > rhs:
+            d_max = dp
+        else:
+            break
+    if d < d_max:
+        return "below", d_max
+    if d == d_max:
+        return "meets", d_max
+    return "exceeds", d_max

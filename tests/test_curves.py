@@ -171,9 +171,14 @@ def test_basis_matches_box_walk_and_scalar_evaluation(path):
     assert key == sorted(key)
     top = ev.dimension_set()[-1]
     subfields = [q0 for q0 in range(2, F.order) if is_subfield_order(F, q0)]
-    for m in (-1, 0, top // 3, top):
-        for power_base in [None, *subfields]:
+    for power_base in [None, *subfields]:
+        for m in (-1, 0, top // 3, top):
             assert curve.basis_exponents(m, power_base) == box_walk_basis(curve, m, power_base), (m, power_base)
+        # a pole's first tuple and its chain of q0-th powers depend only on lower
+        # poles, so the box walk to top, cut at m, is the basis of L(mQ) for every m
+        walked = box_walk_basis(curve, top, power_base)
+        for m in range(-1, top + 1):
+            assert curve.basis_exponents(m, power_base) == [b for b in walked if b[0] <= m], (m, power_base)
     # the points include zero coordinates, where 0^0 = 1 and 0^e = 0
     assert (ev.coords == 0).any()
     scalar_rows = {}

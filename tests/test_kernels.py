@@ -5,8 +5,11 @@ import random
 import numpy as np
 import pytest
 
+from castleqec import kernels
+from castleqec.agcodes import trace_code
 from castleqec.fields import GF
 from castleqec.kernels import enumerate_weights
+from helpers import evset, suzuki8
 
 
 def random_generator(rng, q, k, n):
@@ -27,6 +30,13 @@ def oracle(F, G, chunk=1 << 14):
             words = F.add_table[words, F.mul_table[coeffs[:, j : j + 1], G[j]]]
         counts += np.bincount(np.count_nonzero(words, axis=1), minlength=n + 1)
     return counts
+
+
+def summing_to_ones(G):
+    """G with its last row replaced so that its rows sum to the all-ones word over GF(2)."""
+    G = G.copy()
+    G[-1] = 1 ^ np.bitwise_xor.reduce(G[:-1], axis=0)
+    return G
 
 
 def assert_matches_oracle(F, G):
@@ -135,3 +145,47 @@ def test_zero_count_at_the_counter_width_matches_oracle(q, n):
     G = random_generator(rng, q, k, n)
     G[k - 1] = G[0]
     assert_matches_oracle(GF(q), G)
+
+
+# -- the fold on the all-ones word: rows summing to 1 pair each word w with w + 1
+
+
+def test_binary_fold_of_a_single_row_matches_oracle():
+    assert_matches_oracle(GF(2), np.ones((1, 9), dtype=np.uint16))  # k = 1: the walk gets no rows
+
+
+def test_binary_fold_recurses_past_a_zero_first_row():
+    # a zero first row leaves the rest summing to 1, so the fold applies again
+    rng = random.Random(5)
+    G = summing_to_ones(random_generator(rng, 2, 6, 11))
+    assert_matches_oracle(GF(2), np.vstack([np.zeros((1, 11), dtype=np.uint16), G]))
+    assert_matches_oracle(GF(2), np.zeros((2, 0), dtype=np.uint16))  # n = 0: the empty word is all-ones
+
+
+@pytest.mark.parametrize("k", [17, 18])
+def test_binary_fold_across_the_walk_block_split_matches_oracle(k):
+    rng = random.Random(k + 100)
+    G = random_generator(rng, 2, k, 20)
+    G[k - 2] = G[1]  # a dependency across the walk/block split of the k - 1 rows walked
+    assert_matches_oracle(GF(2), summing_to_ones(G))
+
+
+@pytest.mark.parametrize("n", [64, 65, 70])
+def test_binary_fold_at_the_limb_boundaries_matches_oracle(n):
+    rng = random.Random(n + 100)
+    assert_matches_oracle(GF(2), summing_to_ones(random_generator(rng, 2, 11, n)))
+
+
+def test_a_trace_code_reaches_the_gray_walk_with_one_row_fewer(monkeypatch):
+    # F_2-linear trace codes of L(mQ) contain the all-ones word, the trace of a constant
+    code = trace_code(evset(suzuki8), 13, GF(2))
+    seen, original = [], kernels._binary_weights
+
+    def spy(G):
+        seen.append(G.shape)
+        return original(G)
+
+    monkeypatch.setattr(kernels, "_binary_weights", spy)
+    counts = enumerate_weights(GF(2), code.matrix)
+    assert seen == [(code.dimension, code.n), (code.dimension - 1, code.n)]
+    assert counts[code.n] == 1 and counts.tolist() == oracle(GF(2), code.matrix).tolist()

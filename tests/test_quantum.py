@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from castleqec import linalg
+from castleqec import linalg, quantum
 from castleqec.agcodes import (
     CodeSequence,
     DualityCertificate,
@@ -34,6 +34,7 @@ from helpers import (
     elliptic_gf4,
     elliptic_gf9,
     evset,
+    gv_status_by_summing,
     hermitian_gf9,
     hermitian_gf16,
     hyper_even_45,
@@ -208,6 +209,17 @@ def test_gv_statuses_partition_by_d_max():
             status, again = gv_status(n, k, d, q)
             assert again == d_max
             assert status == ("below" if d < d_max else "meets" if d == d_max else "exceeds")
+
+
+def test_gv_status_matches_the_term_by_term_sum(monkeypatch):
+    # the grid has n - k = 2 and d up to n + 2; the kept sums are extended a
+    # little at a time as n - k grows, then reused as it shrinks
+    grid = [(n, k, d, q) for q in (2, 3, 4, 8, 9) for n in range(2, 26) for k in range(n + 1) for d in range(n + 3)]
+    for order in (grid[::-1], grid):
+        monkeypatch.setattr(quantum, "_GV_SUMS", {})
+        for n, k, d, q in order:
+            assert gv_status(n, k, d, q) == gv_status_by_summing(n, k, d, q), (n, k, d, q)
+    assert ("exceeds", 1) in {gv_status(*t) for t in grid}  # d_max = 1
 
 
 def test_gv_threshold_is_exact_at_the_boundary():
