@@ -119,13 +119,6 @@ class LinearCode:
         """Dual under <u, v>_H = sum u_i v_i^sqrt(q); field order must be a square."""
         return self.frobenius_power(self.field.sqrt_order()).dual()
 
-    def star(self, x):
-        """Coordinatewise scaling {x * c : c in C} by a fixed vector x."""
-        x = np.asarray(x, dtype=np.uint16)
-        if x.shape != (self.n,):
-            raise ValueError("scaling vector length mismatch")
-        return LinearCode(self.field, self.n, self.field.mul_table[self.matrix, x[None, :]])
-
     def is_self_orthogonal(self, mode="euclidean"):
         """Whether C is contained in its (Euclidean or Hermitian) dual."""
         if self.dimension == 0:

@@ -340,8 +340,13 @@ def curve_from_json(obj):
         raise ValueError("malformed curve descriptor")
     family, params, tag = obj.get("family"), obj.get("params", {}), obj.get("tag")
 
+    def param(name):
+        if name not in params:
+            raise ValueError(f"{family} descriptor needs params.{name}")
+        return params[name]
+
     def ints(*names):
-        return [json_int(params[name], name) for name in names]
+        return [json_int(param(name), name) for name in names]
 
     if family == "suzuki":
         curve = suzuki_curve(*ints("q0"), tag=tag)
@@ -351,9 +356,9 @@ def curve_from_json(obj):
         if "field" not in obj:
             raise ValueError(f"family {family!r} needs an explicit field")
         field = field_from_json(obj["field"])
-        f = json_ints(params["f"], "f")
+        f = json_ints(param("f"), "f")
         if family == "sep":
-            curve = sep_variable_curve(field, f, json_ints(params["g"], "g"), tag=tag)
+            curve = sep_variable_curve(field, f, json_ints(param("g"), "g"), tag=tag)
         elif family == "hyperodd":
             curve = hyperelliptic_odd(field, f, tag=tag)
         else:

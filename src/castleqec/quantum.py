@@ -4,7 +4,9 @@ One CSS step serves every construction: nested pairs, self-orthogonal
 codes, and hermitian self-orthogonal codes over square-order fields.  One
 scan runs it along a certified (twisted) self-dual flag for the sequence
 constructions A, B and C; its per-level step, level_step, also builds every
-sequence row of the reproduction manifest.  Classification against the
+sequence row of the reproduction manifest.  Construction B's code y * C_i
+is never built: its gate is the x-twisted hermitian form on C_i, and its
+weights are C_i's.  Classification against the
 quantum Gilbert-Varshamov threshold uses exact integer arithmetic.
 
 Distances are exact whenever the enumeration budget allows; otherwise the
@@ -106,32 +108,6 @@ def css_hermitian(code):
     return _stabilizer_css(code, code.field.sqrt_order(), "hermitian")
 
 
-def _twist_root(F, cert, qt):
-    """y with y^(q~+1) = x entrywise for the certified twist x, or None.
-
-    An exactly self-dual flag is the twist-free case and gives None.  The
-    root exists only when x takes values in the index-(q~+1) subfield.
-    """
-    if cert.status == "self-dual":
-        return None
-    x = cert.twist
-    if not (F.pow_table(qt)[x] == x).all():
-        raise ValueError("twist is not valued in the hermitian base field")
-    y = x.copy()
-    y[x != 0] = F.exp[F.log[x[x != 0]] // (qt + 1)]
-    return y
-
-
-def _in_partner(field, rows, held, partner_dual):
-    """Whether C_i = span(rows) lies in its partner, given that span(rows[:held]) does.
-
-    partner_dual generates the partner's dual, x * C_i or C_i^[q~], and by
-    bilinearity the symmetric or hermitian form B(a, b) = a . b' vanishes on
-    C_i iff B(rows[held:], rows) = 0: one (i - held) x i product.
-    """
-    return not linalg.matmul(field, rows[held:], partner_dual.T).any()
-
-
 def level_step(seq, cert, construction):
     """The per-level step of a sequence construction.
 
@@ -149,21 +125,25 @@ def level_step(seq, cert, construction):
                    itself (scalar extension to F_{q^2} fixes every C_i).
     The gate of A is tested as hermitian self-orthogonality too: with
     C_(n-i) = C_i^perp, i + q(i) <= n says C_i^[q~] <= C_i^perp, which is
-    C_i <= C_i^perpH.  Every gate is incremental: the step keeps the highest
-    level j whose gate held, so a level at or below it passes with no product
-    (a subcode of a self-orthogonal code is self-orthogonal), and a level
-    above it pairs its new basis rows B[j:i] (y * B[j:i] for B) with its own,
-    one (i - j) x i product.  This holds in any order of calls.
+    C_i <= C_i^perpH.  The gate of B is the x-twisted hermitian form on C_i,
+    since <y a, y b>_H = sum x a b^q~: y exists iff x is valued in F_{q~},
+    and y * C_i has C_i's weights, as y has no zero entry.  So every gate is
+    one form B(a, b) = a . b', with b' = x * b for C, x * b^q~ for B and
+    b^q~ for A and "hermitian" (x = 1 on an exactly self-dual flag).  Every gate is incremental: the step keeps
+    the highest level j whose gate held, so a level at or below it passes
+    with no product (a subcode of a self-orthogonal code is self-orthogonal),
+    and by bilinearity a level above it pairs its new basis rows B[j:i]
+    with its own, one (i - j) x i product.  This holds in any order of calls.
 
-    A step builds no code but C_i, and asks the sequence for no other
-    level.  C_(n-i) is the certified dual x^-1 * C_i^perp, and C_i <= C_(n-i)
-    says x * C_i is orthogonal to C_i.  The Z side (C_(n-i)^perp, C_i^perp)
-    = x * (C_i, C_(n-i)) has the X side's weights, so the X side alone gives
-    d.  The partner, C_(n-i) or C_i^perpH, is never built: its dual, x * C_i
-    or C_i^[q~], has C_i's weights, so its own are their MacWilliams
-    transform.  step(0) is the trivial [[n, n, 1]] code.  Distances are
-    exact when C_i's q^i words are in budget, else the certified lower
-    bound on d(C_i^perp).
+    A step builds no code but C_i, for every construction, and asks the
+    sequence for no other level.  C_(n-i) is the certified dual
+    x^-1 * C_i^perp, and C_i <= C_(n-i) says x * C_i is orthogonal to C_i.
+    The Z side (C_(n-i)^perp, C_i^perp) = x * (C_i, C_(n-i)) has the X
+    side's weights, so the X side alone gives d.  The partner, C_(n-i) or
+    C_i^perpH, is never built: its dual, x * C_i or C_i^[q~], has C_i's
+    weights, so its own are their MacWilliams transform.  step(0) is the
+    trivial [[n, n, 1]] code.  Distances are exact when C_i's q^i words are
+    in budget, else the certified lower bound on d(C_i^perp).
     """
     if construction not in ("A", "B", "C", "hermitian"):
         raise ValueError(f"unknown construction {construction!r}")
@@ -180,7 +160,10 @@ def level_step(seq, cert, construction):
             f"construction A needs an exactly self-dual sequence; "
             f"{ev.curve.tag} first fails at m={seq.ms[0]}"
         )
-    y = _twist_root(F, cert, q) if construction == "B" else None
+    x = cert.twist if construction in ("B", "C") else None
+    if construction == "B" and x is not None and not (F.pow_table(q)[x] == x).all():
+        # y with y^(q~+1) = x exists only when x takes values in F_{q~}
+        raise ValueError("twist is not valued in the hermitian base field")
     held = 0  # the highest level whose gate held
 
     def step(i):
@@ -190,18 +173,16 @@ def level_step(seq, cert, construction):
         if 2 * i > n:  # C_i <= C_(n-i) and C_i <= C_i^perpH both need 2i <= n
             return None
         if i > held:
-            rows = seq.rows(i) if y is None else F.mul_table[seq.rows(i), y[None, :]]
-            if not euclidean:
-                partner_dual = F.pow_table(q)[rows]
-            else:  # x * C_i; C_i itself on an exactly self-dual flag
-                partner_dual = rows if cert.twist is None else F.mul_table[rows, cert.twist[None, :]]
-            if not _in_partner(F, rows, held, partner_dual):
+            rows = seq.rows(i)
+            partner_dual = rows if euclidean else F.pow_table(q)[rows]
+            if x is not None:
+                partner_dual = F.mul_table[partner_dual, x[None, :]]
+            if linalg.matmul(F, rows[held:], partner_dual.T).any():
                 if euclidean:
                     raise ValueError(f"{ev.curve.tag}: C_{i} is not in its certified partner C_{n - i}")
                 return None
             held = i
-        level = seq.level(i) if y is None else seq.level(i).star(y)
-        params = _stabilizer_css(level, q, construction)
+        params = _stabilizer_css(seq.level(i), q, construction)
         return params.with_bound(dual_distance_bound(ev, seq.pole_of_level(i), cert))
 
     return step

@@ -136,6 +136,31 @@ def decompose_vec(emb, arr):
     return _coords(emb)[np.asarray(arr)].T
 
 
+def star(code, x):
+    """Coordinatewise scaling {x * c : c in C} by a fixed vector x."""
+    x = np.asarray(x, dtype=np.uint16)
+    if x.shape != (code.n,):
+        raise ValueError("scaling vector length mismatch")
+    return LinearCode(code.field, code.n, code.field.mul_table[code.matrix, x[None, :]])
+
+
+def twist_root(F, cert, qt):
+    """y with y^(q~+1) = x entrywise for the certified twist x, or None.
+
+    An exactly self-dual flag is the twist-free case and gives None.  The
+    root exists only when x takes values in the index-(q~+1) subfield.
+    Construction B's code is y * C_i; the package never builds it.
+    """
+    if cert.status == "self-dual":
+        return None
+    x = cert.twist
+    if not (F.pow_table(qt)[x] == x).all():
+        raise ValueError("twist is not valued in the hermitian base field")
+    y = x.copy()
+    y[x != 0] = F.exp[F.log[x[x != 0]] // (qt + 1)]
+    return y
+
+
 def subfield_subcode(code, small):
     """The code C intersected with small^n, as a code over the subfield.
 

@@ -31,6 +31,7 @@ from helpers import (
     maximal_gf81,
     nt_gf8,
     ntq_gf16,
+    star,
     suzuki8,
     twisted_gf9,
 )
@@ -157,7 +158,7 @@ def test_duality_certificate_twisted(make):
     seq = CodeSequence(ev)
     levels = [seq.level(i) for i in range(ev.n + 1)]  # one ascending sweep
     for i in range(ev.n + 1):
-        assert levels[i].dual() == levels[ev.n - i].star(cert.twist)
+        assert levels[i].dual() == star(levels[ev.n - i], cert.twist)
 
 
 def constrained_pair_gram_ok(ev, x):

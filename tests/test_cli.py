@@ -509,6 +509,9 @@ MALFORMED = [
     ("ntq-q-1", {"family": "ntq", "params": {"q": 1, "r": 3, "u": 1}}, 2),
     ("ntq-r-huge", {"family": "ntq", "params": {"q": 2, "r": 10 ** 9, "u": 1}}, 3),
     ("ntq-u-float", {"family": "ntq", "params": {"q": 2, "r": 3, "u": 7.0}}, 2),
+    ("ntq-no-u", {"family": "ntq", "params": {"q": 2, "r": 3}}, 2),
+    ("sep-no-g", {**ELLIPTIC9, "params": {"f": [0, 0, 1]}}, 2),
+    ("hypereven-no-f", {"family": "hypereven", "field": {"p": 2, "k": 2}, "params": {}}, 2),
     ("params-list", {"family": "suzuki", "params": [2]}, 2),
     ("params-null", {"family": "suzuki", "params": None}, 2),
     ("descriptor-list", [], 2),
@@ -517,14 +520,17 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("descriptor,expected", [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
-def test_malformed_descriptor_is_refused(tmp_path, capsys, descriptor, expected):
+@pytest.mark.parametrize("name,descriptor,expected", MALFORMED, ids=[case[0] for case in MALFORMED])
+def test_malformed_descriptor_is_refused(tmp_path, capsys, name, descriptor, expected):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(descriptor))
     code, out, err = run_cli(capsys, "build", "--curve-file", str(path), "--m", "0")
     assert code == expected
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    if "-no-" in name:  # a missing parameter is named, with its family
+        family, key = name.split("-no-")
+        assert err == f"error: {family} descriptor needs params.{key}\n"
 
 
 def test_malformed_descriptor_exits_2_from_a_process(tmp_path):

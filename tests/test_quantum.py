@@ -20,8 +20,6 @@ from castleqec.curves import evaluation_set_from_json
 from castleqec.fields import GF
 from castleqec.quantum import (
     QuantumParams,
-    _in_partner,
-    _twist_root,
     css_hermitian,
     css_nested,
     css_self_orthogonal,
@@ -39,7 +37,9 @@ from helpers import (
     hermitian_gf16,
     hyper_even_45,
     ntq_gf16,
+    star,
     suzuki8,
+    twist_root,
     twisted_gf9,
 )
 
@@ -162,6 +162,20 @@ def test_construction_b_elliptic_gf9():
     ]
 
 
+def test_construction_b_on_a_twist_valued_in_gf8(monkeypatch):
+    monkeypatch.delenv("CASTLEQEC_BUDGET", raising=False)
+    ev = load(ROOT / "tests/data/twisted/hermitian-gf64-sub4.json")
+    cert = certify_duality(ev)
+    x = cert.twist
+    assert cert.status == "formally-self-dual" and len(set(x.tolist())) > 1
+    assert (ev.field.pow_table(8)[x] == x).all()  # x in GF(8): y with y^9 = x exists
+    rows = scan_sequence(CodeSequence(ev), cert, "B")[1:]
+    assert [(i, p.n, p.k, p.q) for i, p in rows] == [(i, 32, 32 - 2 * i, 8) for i in range(1, 17)]
+    assert [(p.d, p.d_provenance) for _, p in rows] == [(d, "exact") for d in (2, 2, 3, 3)] + [
+        (d, "lower-bound") for d in (3, 4, 4, 4, 4, 5, 5, 5, 5, 6, 6, 6)
+    ]
+
+
 def test_construction_b_rejects_unsuitable_twists():
     ev = evset(suzuki8)
     seq = CodeSequence(ev)
@@ -274,8 +288,8 @@ def certified_partner(level, twist):
 
 
 def whole_level_gate(level, twist):
-    """The C gate on all of C_i: the incremental one with no rows held."""
-    return _in_partner(level.field, level.matrix, 0, twisted_rows(level.field, level.matrix, twist))
+    """The C gate on all of C_i: the x-twisted form on its whole basis."""
+    return not linalg.matmul(level.field, level.matrix, twisted_rows(level.field, level.matrix, twist).T).any()
 
 
 @pytest.mark.parametrize("path", CURVE_FILES, ids=lambda p: p.stem)
@@ -298,7 +312,8 @@ def test_certified_partner_is_the_sequence_level(path):
 @pytest.mark.parametrize(
     "path,construction",
     [(ROOT / "curves/hermitian-gf16.json", c) for c in ("A", "B", "C", "hermitian")]
-    + [(ROOT / "curves/twisted-gf9.json", c) for c in ("B", "C", "hermitian")],
+    + [(ROOT / "curves/twisted-gf9.json", c) for c in ("B", "C", "hermitian")]
+    + [(ROOT / "tests/data/twisted/hermitian-gf64-sub4.json", c) for c in ("B", "C", "hermitian")],
     ids=lambda v: v if isinstance(v, str) else v.stem,
 )
 def test_a_budget_one_scan_builds_no_dual(monkeypatch, path, construction):
@@ -316,6 +331,7 @@ def test_a_budget_one_scan_builds_no_dual(monkeypatch, path, construction):
     for name in ("dual", "hermitian_dual", "contains_code"):
         monkeypatch.setattr(LinearCode, name, spy(name, getattr(LinearCode, name)))
     monkeypatch.setattr(linalg, "kernel_basis", spy("kernel_basis", linalg.kernel_basis))  # C's partner
+    monkeypatch.setattr(linalg, "rref", spy("rref", linalg.rref))  # B's y * C_i, or any other code
     monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
     rows = scan_sequence(seq, cert, construction)
     assert len(rows) > 2 and all(p.d_provenance == "lower-bound" for _, p in rows[1:])
@@ -391,9 +407,9 @@ def test_a_distance_from_the_stabilizer_alone_matches_the_built_partner(monkeypa
         except ValueError:
             continue  # the construction does not apply to this flag or field
         q = F.order if construction == "C" else F.sqrt_order()
-        y = _twist_root(F, cert, q) if construction == "B" else None
+        y = twist_root(F, cert, q) if construction == "B" else None
         for i, p in rows:
-            level = seq.level(i) if y is None else seq.level(i).star(y)
+            level = seq.level(i) if y is None else star(seq.level(i), y)  # B's y * C_i, built explicitly
             if construction == "C":
                 partner = certified_partner(level, cert.twist)
             else:
@@ -479,7 +495,7 @@ def gram_gates(F, rows, cert, construction):
     One Gram matrix of the rows, x-twisted for C and hermitian otherwise:
     the form vanishes on C_i iff it does on its leading i x i block.
     """
-    y = _twist_root(F, cert, F.sqrt_order()) if construction == "B" else None
+    y = twist_root(F, cert, F.sqrt_order()) if construction == "B" else None
     if y is not None:
         rows = F.mul_table[rows, y[None, :]]
     if construction == "C":
