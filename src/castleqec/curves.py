@@ -110,17 +110,6 @@ def _validate_poly(field, coeffs, name):
     return coeffs
 
 
-def _poly_values(field, coeffs):
-    """Evaluate a univariate polynomial at every field element."""
-    vals = np.zeros(field.order, dtype=np.uint16)
-    t = np.arange(field.order, dtype=np.uint16)
-    for e, c in enumerate(coeffs):
-        if c:
-            term = field.mul_table[c, field.pow_table(e)[t]]
-            vals = field.add_table[vals, term]
-    return vals
-
-
 def sep_variable_curve(field, f_coeffs, g_coeffs, tag=None):
     """The curve F(y) = G(x) with coprime degrees; x and y generate at Q.
 
@@ -131,8 +120,8 @@ def sep_variable_curve(field, f_coeffs, g_coeffs, tag=None):
     a, b = len(f) - 1, len(g) - 1
     if math.gcd(a, b) != 1:
         raise ValueError(f"deg F = {a} and deg G = {b} must be coprime for one place at infinity")
-    fv = _poly_values(field, f)  # value of F at each y
-    gv = _poly_values(field, g)  # value of G at each x
+    fv = field.poly_values(f)  # value of F at each y
+    gv = field.poly_values(g)  # value of G at each x
     coords = np.array(np.nonzero(gv[:, None] == fv[None, :]), dtype=np.uint16)  # (x, y) pairs, sorted
     if tag is None:
         tag = f"sep-gf{field.order}"
@@ -320,7 +309,7 @@ class EvaluationSet:
             return None
         other, coeffs = side
         F, U = self.field, np.array(self.U)
-        f_y = _poly_values(F, [F.mul(e % F.p, c) for e, c in enumerate(coeffs)][1:])  # the side's derivative
+        f_y = F.poly_values([F.mul(e % F.p, c) for e, c in enumerate(coeffs)][1:])  # the side's derivative
         diffs = F.add_table[U[:, None], F.neg_table[U][None, :]]
         np.fill_diagonal(diffs, 1)
         h_prime = np.zeros(F.order, dtype=np.uint16)

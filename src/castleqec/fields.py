@@ -1,11 +1,13 @@
 """Exact arithmetic in small finite fields GF(p^k), order at most 1024.
 
 An element is an integer index in 0..q-1: the index sum(c_i * p^i) stands for
-the residue class sum(c_i * X^i) modulo the defining polynomial.  Every
-presentation detail is canonical -- lexicographically smallest monic
-irreducible modulus, smallest-index primitive element, smallest-index
-embedding image -- so that anything serialized (generator matrices, twist
-vectors) reproduces bit for bit across runs and machines.
+the residue class sum(c_i * X^i) modulo the defining polynomial.  This module
+alone reads indices as base-p digits (Field.digits); every table and every
+embedding is built from them.  Every presentation detail is canonical --
+lexicographically smallest monic irreducible modulus, smallest-index
+primitive element, smallest-index embedding image -- so that anything
+serialized (generator matrices, twist vectors) reproduces bit for bit across
+runs and machines.
 
 Arithmetic is table-based: full add/mul tables plus discrete log/antilog
 tables, all small numpy arrays.  That caps the supported order but makes
@@ -94,6 +96,12 @@ def _canonical_modulus(p, k):
 class Field:
     """GF(p^k) with canonical presentation and table-based arithmetic.
 
+    digits[a, i] is the coefficient of X^i in a.  Multiplying by X is a shift
+    of the digits and one subtraction of the modulus, done for every element
+    at once; c a for every a is then the sum of c_i X^i a.  The primitive
+    element is the first c whose orbit through 1 has length q - 1, and that
+    orbit is the exp table; every other table follows from exp and the digits.
+
     Do not instantiate directly; use GF(q) so that equal orders share one
     object (field identity is object identity everywhere downstream).
     """
@@ -101,76 +109,42 @@ class Field:
     def __init__(self, p, k):
         self.p = p
         self.k = k
-        self.order = p ** k
+        self.order = q = p ** k
         self.modulus = _canonical_modulus(p, k)
-        q = self.order
+        weights = p ** np.arange(k)
+        self.digits = (np.arange(q)[:, None] // weights % p).astype(np.uint16)  # digits[a, i]: X^i in a
+        d = self.digits.astype(np.int64)
 
-        digit_pows = [p ** i for i in range(k)]
+        # X a for every a: shift the digits up one place, then subtract the top digit times the modulus
+        times_x = (np.pad(d[:, :-1], ((0, 0), (1, 0))) - d[:, -1:] * self.modulus[:k]) % p @ weights
+        x_pow_times = [np.arange(q)]  # X^i a for every a, i < k
+        for _ in range(k - 1):
+            x_pow_times.append(times_x[x_pow_times[-1]])
+        shifted = d[np.stack(x_pow_times)]  # shifted[i, a, j]: digit j of X^i a
 
-        def decode(i):
-            return [(i // w) % p for w in digit_pows]
-
-        def encode(cs):
-            return sum((c % p) * w for c, w in zip(cs, digit_pows))
-
-        def rawmul(a, b):
-            # schoolbook product of two element indices, reduced mod modulus
-            da, db = decode(a), decode(b)
-            prod = [0] * (2 * k - 1)
-            for i, ca in enumerate(da):
-                if ca:
-                    for j, cb in enumerate(db):
-                        prod[i + j] += ca * cb
-            return encode(_poly_mod(prod, self.modulus, p))
-
-        def rawpow(a, e):
-            r = 1
-            while e:
-                if e & 1:
-                    r = rawmul(r, a)
-                a = rawmul(a, a)
-                e >>= 1
-            return r
-
-        if q == 2:
-            g = 1
-        else:
-            fac = _factor(q - 1)
-            g = None
-            for cand in range(2, q):
-                if all(rawpow(cand, (q - 1) // r) != 1 for r in fac):
-                    g = cand
-                    break
-            assert g is not None, "multiplicative group of a finite field is cyclic"
-        self.primitive = g
-
-        exp = np.zeros(q - 1, dtype=np.uint16)
-        e = 1
-        for i in range(q - 1):
-            exp[i] = e
-            e = rawmul(e, g)
-        assert e == 1, "primitive element order must be q-1"
+        # the canonical primitive element: the first c whose orbit through 1 has length q - 1
+        for c in range(1, q):
+            times_c = (np.tensordot(d[c], shifted, axes=1) % p @ weights).tolist()  # c a = sum c_i X^i a
+            orbit = [1]
+            while (e := times_c[orbit[-1]]) != 1:
+                orbit.append(e)
+            if len(orbit) == q - 1:
+                break
+        self.primitive = c
+        self.exp = exp = np.array(orbit, dtype=np.uint16)
         log = np.full(q, -1, dtype=np.int32)
         log[exp] = np.arange(q - 1, dtype=np.int32)
-        self.exp = exp
         self.log = log
 
-        idx = np.arange(q, dtype=np.int64)
         add = np.zeros((q, q), dtype=np.int64)
-        neg = np.zeros(q, dtype=np.int64)
-        for i, w in enumerate(digit_pows):
-            di = (idx // w) % p
+        for w, di in zip(weights, d.T):
             add += w * ((di[:, None] + di[None, :]) % p)
-            neg += w * ((p - di) % p)
         self.add_table = add.astype(np.uint16)
-        self.neg_table = neg.astype(np.uint16)
+        self.neg_table = (-d % p @ weights).astype(np.uint16)
 
-        if q == 2:
-            mul = np.array([[0, 0], [0, 1]], dtype=np.uint16)
-        else:
-            mul = exp[(log[:, None] + log[None, :]) % (q - 1)].copy()
-            mul[0, :] = 0
-            mul[:, 0] = 0
+        mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
+        mul[0, :] = 0
+        mul[:, 0] = 0
         self.mul_table = mul
 
         inv = np.zeros(q, dtype=np.uint16)
@@ -222,28 +196,13 @@ class Field:
             raise ValueError(f"hermitian duality needs a square field order, not {self.order}")
         return self.p ** (self.k // 2)
 
-    def poly_with_roots(self, roots):
-        """Coefficients of prod over roots c of (t - c), low degree first."""
-        poly = [1]
-        for c in roots:
-            nxt = [0] * (len(poly) + 1)
-            nc = self.neg(c)
-            for i, coef in enumerate(poly):
-                nxt[i + 1] = self.add(nxt[i + 1], coef)
-                nxt[i] = self.add(nxt[i], self.mul(nc, coef))
-            poly = nxt
-        return poly
-
-    def minimal_polynomial(self, a):
-        """Minimal polynomial over GF(p), as an integer tuple, low degree first."""
-        conjugates = []
-        c = a
-        while c not in conjugates:
-            conjugates.append(c)
-            c = self.pow(c, self.p)
-        poly = self.poly_with_roots(conjugates)
-        assert all(c < self.p for c in poly), "minimal polynomial must be prime-field valued"
-        return tuple(int(c) for c in poly)
+    def poly_values(self, coeffs):
+        """Array V with V[a] = sum of coeffs[e] a^e for every element index a, by Horner's rule."""
+        t = np.arange(self.order)
+        vals = np.zeros(self.order, dtype=np.uint16)
+        for c in reversed(coeffs):
+            vals = self.add_table[self.mul_table[vals, t], c]
+        return vals
 
     # -- serialization -------------------------------------------------------
 
@@ -303,10 +262,12 @@ def field_from_json(obj):
 class Embedding:
     """The canonical embedding GF(p^j) -> GF(p^k) for j | k.
 
-    The small field's primitive element maps to the smallest-index element of
-    the big field sharing its minimal polynomial; that pins the embedding
-    uniquely and reproducibly.  Also provides the trace back down, as one
-    lookup table.
+    Each root r of the small field's modulus in the big field gives one
+    embedding, a -> sum of digit_i(a) r^i.  The canonical one maps the small
+    field's primitive element to the smallest index: the smallest element of
+    the big field sharing its minimal polynomial.  Into itself a field embeds
+    by the identity, since its primitive element is the smallest of its
+    conjugates.  Also provides the trace back down, as one lookup table.
     """
 
     def __init__(self, small, big):
@@ -317,26 +278,14 @@ class Embedding:
         self.ratio = big.k // small.k
         q0, q = small.order, big.order
 
-        fwd = np.zeros(q0, dtype=np.uint16)
-        if small is big:
-            fwd = np.arange(q0, dtype=np.uint16)
-        else:
-            target = small.minimal_polynomial(small.primitive)
-            image = None
-            for h in range(1, q):
-                # cheap prefilter: h must lie in the order-q0 subfield at all
-                if (int(big.log[h]) * (q0 - 1)) % (q - 1) != 0:
-                    continue
-                # sharing g0's (irreducible) minimal polynomial forces h to be a
-                # conjugate of the true image, hence of multiplicative order q0-1
-                if big.minimal_polynomial(h) == target:
-                    image = h
-                    break
-            assert image is not None, "subfield generator with matching minimal polynomial"
-            t = int(big.log[image])
-            for i in range(q0 - 1):
-                fwd[small.exp[i]] = big.exp[(t * i) % (q - 1)]
-        self.fwd = fwd
+        def image(r):  # the embedding sending X to the root r: a -> sum of digit_i(a) r^i
+            out = np.zeros(q0, dtype=np.uint16)
+            for i, d in enumerate(small.digits.T):
+                out = big.add_table[out, big.mul_table[d, big.pow(int(r), i)]]
+            return out
+
+        roots = np.flatnonzero(big.poly_values(small.modulus) == 0)
+        self.fwd = fwd = min(map(image, roots), key=lambda f: f[small.primitive])
 
         back = np.full(q, -1, dtype=np.int32)
         back[fwd] = np.arange(q0, dtype=np.int32)

@@ -119,13 +119,10 @@ def kernel_basis(field, rows, n=None):
 
 @functools.cache
 def _digit_tables(field):
-    """digits[a, j]: coefficient of X^j in a; shifted[a, i, j]: the same for X^i a."""
-    p, k = field.p, field.k
-    weights = p ** np.arange(k)
-    digits = (np.arange(field.order)[:, None] // weights % p).astype(np.uint16)
-    x_pows = [field.pow(p, i) if i else 1 for i in range(k)]  # X^i; index p is X
-    shifted = np.stack([digits[field.mul_table[x]] for x in x_pows], axis=1)
-    return digits, shifted, weights.astype(np.uint16)
+    """field.digits; shifted[a, i, j]: digit j of X^i a, where X^i is the index p^i."""
+    weights = field.p ** np.arange(field.k)
+    shifted = np.stack([field.digits[field.mul_table[w]] for w in weights], axis=1)
+    return field.digits, shifted, weights.astype(np.uint16)
 
 
 def matmul(field, A, B):

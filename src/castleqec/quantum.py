@@ -17,7 +17,6 @@ bound, flagging the provenance.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 
 from . import linalg
@@ -217,11 +216,14 @@ def gv_terms(n, k, d, q):
     lhs > rhs.
     """
     lhs = (q ** (n - k + 2) - 1) // (q * q - 1)
-    rhs = sum((q * q - 1) ** (i - 1) * math.comb(n, i) for i in range(1, d))
+    rhs, term = 0, n  # term = (q^2-1)^(i-1) C(n, i), updated by the ratio of consecutive terms
+    for i in range(1, d):
+        rhs += term
+        term = term * (q * q - 1) * (n - i) // (i + 1)
     return lhs, rhs
 
 
-_GV_SUMS = {}  # (n, q) -> the partial sums gv_status has needed so far
+_GV_SUMS = {}  # (n, q) -> the partial sums gv_status has needed so far, and the next summand
 
 
 def gv_status(n, k, d, q):
@@ -237,9 +239,13 @@ def gv_status(n, k, d, q):
     if not (n > k >= 2 and d >= 2 and (n - k) % 2 == 0):
         return "not-applicable", None
     lhs, _ = gv_terms(n, k, 1, q)
-    sums = _GV_SUMS.setdefault((n, q), [0])  # sums[j] = sum_{i=1}^{j} (q^2-1)^(i-1) C(n, i)
+    # sums[j] = sum_{i=1}^{j} (q^2-1)^(i-1) C(n, i), and term is the summand for i = len(sums)
+    sums, term = _GV_SUMS.get((n, q), ([0], n))
     while len(sums) <= n and sums[-1] < lhs:
-        sums.append(sums[-1] + (q * q - 1) ** (len(sums) - 1) * math.comb(n, len(sums)))
+        i = len(sums)
+        sums.append(sums[-1] + term)
+        term = term * (q * q - 1) * (n - i) // (i + 1)
+    _GV_SUMS[(n, q)] = sums, term
     d_max = bisect.bisect_left(sums, lhs, 1)
     if d < d_max:
         return "below", d_max

@@ -161,6 +161,31 @@ def twist_root(F, cert, qt):
     return y
 
 
+def poly_with_roots(F, roots):
+    """Coefficients of prod over roots c of (t - c), low degree first."""
+    poly = [1]
+    for c in roots:
+        nxt = [0] * (len(poly) + 1)
+        nc = F.neg(c)
+        for i, coef in enumerate(poly):
+            nxt[i + 1] = F.add(nxt[i + 1], coef)
+            nxt[i] = F.add(nxt[i], F.mul(nc, coef))
+        poly = nxt
+    return poly
+
+
+def minimal_polynomial(F, a):
+    """Minimal polynomial of a over GF(p), as an integer tuple, low degree first."""
+    conjugates = []
+    c = a
+    while c not in conjugates:
+        conjugates.append(c)
+        c = F.pow(c, F.p)
+    poly = poly_with_roots(F, conjugates)
+    assert all(c < F.p for c in poly), "minimal polynomial must be prime-field valued"
+    return tuple(int(c) for c in poly)
+
+
 def subfield_subcode(code, small):
     """The code C intersected with small^n, as a code over the subfield.
 
@@ -179,7 +204,7 @@ def subfield_subcode(code, small):
 def phi_coefficients(ev):
     """Coefficients of phi(t) = prod over U of (t - alpha): the function
     cutting out D as the fibration's totally split fibers."""
-    return ev.field.poly_with_roots(ev.U)
+    return poly_with_roots(ev.field, ev.U)
 
 
 def kernel_functions(ev, m):

@@ -6,10 +6,23 @@ from castleqec.fields import (
     UnsupportedFieldError,
     embedding,
     field_from_json,
+    prime_power,
 )
-from helpers import decompose_vec, is_subfield_order
+from helpers import decompose_vec, is_subfield_order, minimal_polynomial, poly_with_roots
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 64]
+
+
+def _orders(bound):
+    """Every prime power q with 2 <= q <= bound."""
+    out = []
+    for q in range(2, bound + 1):
+        try:
+            prime_power(q)
+        except UnsupportedFieldError:
+            continue
+        out.append(q)
+    return out
 
 
 def test_bad_orders_rejected():
@@ -103,6 +116,33 @@ def test_primitive_element_order():
         assert x == 1 and len(seen) == q - 1
 
 
+def test_primitive_is_the_smallest_element_of_full_order():
+    # brute force over mul_table: the multiplicative order of every element at once
+    for q in _orders(256):
+        F = GF(q)
+        idx = np.arange(q)
+        order = np.zeros(q, dtype=np.int64)
+        power = idx.copy()  # a^e for every a, e = 1, 2, ...
+        for e in range(1, q):
+            order[(power == 1) & (order == 0)] = e
+            power = F.mul_table[power, idx]
+        assert F.primitive == np.flatnonzero(order == q - 1)[0], q
+
+
+def test_poly_values_is_horner_evaluation():
+    rng = np.random.default_rng(2026)
+    for q in _orders(64):
+        F = GF(q)
+        for coeffs in ([], [3 % q], [0, 1], rng.integers(0, q, size=6).tolist()):
+            expected = []
+            for a in range(q):
+                v = 0
+                for c in reversed(coeffs):
+                    v = F.add(F.mul(v, a), c)
+                expected.append(v)
+            assert F.poly_values(coeffs).tolist() == expected, (q, coeffs)
+
+
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 25, 27])
 def test_squares_odd_characteristic(q):
     # Euler's criterion: the nonzero squares are the even powers of the primitive element
@@ -135,20 +175,20 @@ def test_division_errors():
 def test_poly_with_roots(q):
     F = GF(q)
     # every element is a root of t^q - t, each once
-    assert F.poly_with_roots(range(q)) == [0, F.neg(1)] + [0] * (q - 2) + [1]
-    assert F.poly_with_roots([]) == [1]
-    assert F.poly_with_roots([1, 1]) == [1, F.neg(F.add(1, 1)), 1]  # (t - 1)^2 = t^2 - 2t + 1
+    assert poly_with_roots(F, range(q)) == [0, F.neg(1)] + [0] * (q - 2) + [1]
+    assert poly_with_roots(F, []) == [1]
+    assert poly_with_roots(F, [1, 1]) == [1, F.neg(F.add(1, 1)), 1]  # (t - 1)^2 = t^2 - 2t + 1
 
 
 def test_minimal_polynomial_examples():
     F4 = GF(4)
     # X itself generates, so its minimal polynomial is the modulus
-    assert F4.minimal_polynomial(2) == F4.modulus
-    assert F4.minimal_polynomial(0) == (0, 1)
-    assert F4.minimal_polynomial(1) == (1, 1)
+    assert minimal_polynomial(F4, 2) == F4.modulus
+    assert minimal_polynomial(F4, 0) == (0, 1)
+    assert minimal_polynomial(F4, 1) == (1, 1)
     F64 = GF(64)
     for x in range(64):
-        mp = F64.minimal_polynomial(x)
+        mp = minimal_polynomial(F64, x)
         deg = len(mp) - 1
         assert 6 % deg == 0
         # x is a root of its own minimal polynomial
@@ -228,6 +268,20 @@ def test_embedding_properties(q0, q):
     expected = [[int(emb.trace_table[B.mul(B.pow(B.primitive, j), int(x))]) for x in g] for g in M for j in range(r)]
     assert emb.trace_rows(M).tolist() == expected
     assert emb.trace_rows(M[:0]).shape == (0, 5)
+
+
+def test_embedding_sends_the_primitive_element_to_its_smallest_conjugate():
+    # the image of S.primitive is the smallest-index element of the big field
+    # with its minimal polynomial; the embedding of a field into itself is the identity
+    for q in _orders(256):
+        B = GF(q)
+        minpolys = [minimal_polynomial(B, h) for h in range(q)]
+        for q0 in _orders(q):
+            if is_subfield_order(B, q0):
+                S = GF(q0)
+                expected = minpolys.index(minimal_polynomial(S, S.primitive))
+                assert int(embedding(S, B).fwd[S.primitive]) == expected, (q0, q)
+        assert embedding(B, B).fwd.tolist() == list(range(q))
 
 
 def test_embedding_surjectivity_of_trace():

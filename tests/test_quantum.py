@@ -24,6 +24,7 @@ from castleqec.quantum import (
     css_nested,
     css_self_orthogonal,
     gv_status,
+    gv_terms,
     level_step,
     scan_sequence,
 )
@@ -234,6 +235,18 @@ def test_gv_status_matches_the_term_by_term_sum(monkeypatch):
         for n, k, d, q in order:
             assert gv_status(n, k, d, q) == gv_status_by_summing(n, k, d, q), (n, k, d, q)
     assert ("exceeds", 1) in {gv_status(*t) for t in grid}  # d_max = 1
+
+
+def test_gv_terms_match_the_direct_sum():
+    # the running term against a fresh power and binomial per summand
+    import math
+
+    for q in (2, 3, 4, 8, 9, 1024):
+        for n in range(1, 41):
+            lhs = (q ** n - 1) // (q * q - 1)  # k = 2
+            for d in range(1, n + 2):
+                rhs = sum((q * q - 1) ** (i - 1) * math.comb(n, i) for i in range(1, d))
+                assert gv_terms(n, 2, d, q) == (lhs, rhs), (n, d, q)
 
 
 def test_gv_threshold_is_exact_at_the_boundary():
