@@ -121,41 +121,67 @@ class CodeSequence:
     D is the zero divisor of h(phi), whose pole divisor is nQ, so evaluation
     on L(mQ) has kernel h(phi) L((m - n)Q) and the flag grows exactly at the
     dimension set of the semigroup: C_i is spanned by the basis rows B[:i]
-    with poles m_1 .. m_i.  Rows are evaluated when first asked for, and an
-    echelon accumulator rejects one that fails to enlarge the span.  No
+    with poles m_1 .. m_i.  Rows are evaluated when first asked for, and no
     level is kept: level(i) builds C_i on each call.
+
+    Under a certificate proven on this set, G = B diag(x) B^T vanishes below
+    its anti-diagonal (m_a + m_b <= n + 2g - 2 for a + b <= n - 2, from 0),
+    so B[:i] has rank i iff G[a, n - 1 - a] != 0 for a < i: one product with
+    the mirror row B[n - 1 - a] each, and a < n/2 covers all (G = G^T).
+    Otherwise an echelon accumulator takes the rows one at a time.
     """
 
-    def __init__(self, evset):
+    def __init__(self, evset, cert=None):
         self.evset = evset
         self.ms = evset.dimension_set()
         exponents = dict(evset.curve.basis_exponents(self.ms[-1]))
         self._exponents = [exponents[m] for m in self.ms]
-        self._acc = linalg.RREFAccumulator(evset.field, evset.n)
         self._rows = np.zeros((0, evset.n), dtype=np.uint16)  # the basis rows evaluated so far
+        if cert is not None and cert.proves(evset):
+            self._acc = None
+            self._twist = np.ones(evset.n, dtype=np.uint16) if cert.twist is None else cert.twist
+        else:
+            self._acc = linalg.RREFAccumulator(evset.field, evset.n)
 
     @property
     def n(self):
         return self.evset.n
 
     def rows(self, i):
-        """B[:i] in pole order; missing rows are evaluated in one call, at least as many again as are held."""
-        acc, evaluated = self._acc, len(self._rows)
+        """B[:i] in pole order; missing rows are evaluated and proven in one block, at least as many as are held."""
+        evaluated = len(self._rows)
         if i > evaluated:
-            more = self.evset.monomial_rows(self._exponents[evaluated : max(i, 2 * evaluated)])
-            self._rows = np.concatenate([self._rows, more])
-        while acc.dimension < i:
-            j = acc.dimension
-            if not acc.insert(self._rows[j]):
-                raise AssertionError(f"{self.evset.curve.tag}: level {j + 1} does not grow at pole {self.ms[j]}")
+            rows = np.concatenate(
+                [self._rows, self.evset.monomial_rows(self._exponents[evaluated : max(i, 2 * evaluated)])]
+            )
+            if self._acc is None:
+                self._prove(rows, evaluated, min(len(rows), (self.n + 1) // 2))
+            self._rows = rows
+        acc = self._acc
+        while acc is not None and acc.dimension < i:
+            if not acc.insert(self._rows[acc.dimension]):
+                self._no_growth(acc.dimension)
         return self._rows[:i]
+
+    def _prove(self, rows, a, count):
+        """Check that G[b, n - 1 - b] != 0 for a <= b < count."""
+        if a >= count:
+            return
+        F = self.evset.field
+        mirrors = self.evset.monomial_rows([self._exponents[self.n - 1 - b] for b in range(a, count)])
+        entries = linalg.matmul(F, F.mul_table[rows[a:count], mirrors], self._twist[:, None])[:, 0]
+        if not entries.all():
+            self._no_growth(a + int(np.flatnonzero(entries == 0)[0]))
+
+    def _no_growth(self, j):
+        raise AssertionError(f"{self.evset.curve.tag}: level {j + 1} does not grow at pole {self.ms[j]}")
 
     def level(self, i):
         """C_i: the accumulator's RREF when it stands at i, else B[:i] eliminated anew."""
         rows, acc = self.rows(i), self._acc
-        if acc.dimension == i:
+        if acc is not None and acc.dimension == i:
             return LinearCode.from_rref(acc.field, acc.n, acc.snapshot(), acc.pivots)
-        return LinearCode(acc.field, acc.n, rows)
+        return LinearCode(self.evset.field, self.n, rows)
 
     def pole_of_level(self, i):
         """m_i: the pole order at which the sequence reaches dimension i."""
@@ -174,10 +200,15 @@ class DualityCertificate:
     says which check failed.
     """
 
-    def __init__(self, status, twist=None, reason=None):
+    def __init__(self, status, twist=None, reason=None, evset=None):  # evset: the set certify_duality used
         self.status = status
         self.twist = twist
         self.reason = reason
+        self.evset = evset
+
+    def proves(self, evset):
+        """Whether certify_duality proved this on evset, not a claim made by hand."""
+        return self.evset is evset and self.status != "unverified"
 
     def __repr__(self):
         return f"<duality {self.status}>"
@@ -214,8 +245,14 @@ def certify_duality(evset):
         if linalg.matmul(evset.field, evset.monomial_rows(expos[b : b + block]), x[:, None]).any():
             return DualityCertificate("unverified", reason=f"the residue twist is not orthogonal to C({top}Q)")
     if (x == 1).all():
-        return DualityCertificate("self-dual")
-    return DualityCertificate("formally-self-dual", x)
+        return DualityCertificate("self-dual", evset=evset)
+    return DualityCertificate("formally-self-dual", x, evset=evset)
+
+
+def past_top(evset, row_poles, column_poles, e=1):
+    """mask[a, b]: m_a + e m_b > n + 2g - 2; elsewhere sum x f_a f_b^e = 0 under a proven certificate."""
+    top = evset.n + 2 * evset.curve.semigroup.genus - 2
+    return np.add.outer(np.asarray(row_poles), e * np.asarray(column_poles)) > top
 
 
 def dual_distance_bound(evset, m, cert):

@@ -140,8 +140,9 @@ def cmd_reproduce(args):
 
 def cmd_scan(args):
     ev = _load_eval_set(args.curve_file)
-    seq = CodeSequence(ev)
-    scanned = scan_sequence(seq, certify_duality(ev), args.construction, max_i=args.max_i)
+    cert = certify_duality(ev)
+    seq = CodeSequence(ev, cert)
+    scanned = scan_sequence(seq, cert, args.construction, max_i=args.max_i)
     rows = [
         {"i": i, "m": seq.pole_of_level(i) if i else None, **quantum_row(params)}
         for i, params in scanned

@@ -19,9 +19,11 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import linalg
-from .agcodes import dual_distance_bound
-from .codes import normalizer_min_weight, relative_min_weight
+from .agcodes import dual_distance_bound, past_top
+from .codes import normalizer_min_weight, relative_min_weight, work_budget
 
 
 @dataclass
@@ -128,21 +130,27 @@ def level_step(seq, cert, construction):
     since <y a, y b>_H = sum x a b^q~: y exists iff x is valued in F_{q~},
     and y * C_i has C_i's weights, as y has no zero entry.  So every gate is
     one form B(a, b) = a . b', with b' = x * b for C, x * b^q~ for B and
-    b^q~ for A and "hermitian" (x = 1 on an exactly self-dual flag).  Every gate is incremental: the step keeps
-    the highest level j whose gate held, so a level at or below it passes
-    with no product (a subcode of a self-orthogonal code is self-orthogonal),
-    and by bilinearity a level above it pairs its new basis rows B[j:i]
-    with its own, one (i - j) x i product.  This holds in any order of calls.
+    b^q~ for A and "hermitian" (x = 1 on an exactly self-dual flag).  A
+    proven certificate (DualityCertificate.proves) gives B(f_s, f_t) = 0 for
+    basis functions with m_s + e m_t <= n + 2g - 2, e = 1 for C and q~
+    otherwise (agcodes.past_top), so only the rows and columns of the other
+    pairs are multiplied, and the C gate multiplies none; "hermitian" on a
+    twisted flag, and a claim made by hand, pair all rows.  Every gate is
+    incremental too: the step keeps the highest level j whose gate held, so
+    a level at or below it passes with no product (a subcode of a
+    self-orthogonal code is self-orthogonal), and a level above it pairs
+    only its new rows B[j:i] with B[:i], in any order of calls.
 
-    A step builds no code but C_i, for every construction, and asks the
-    sequence for no other level.  C_(n-i) is the certified dual
-    x^-1 * C_i^perp, and C_i <= C_(n-i) says x * C_i is orthogonal to C_i.
-    The Z side (C_(n-i)^perp, C_i^perp) = x * (C_i, C_(n-i)) has the X
-    side's weights, so the X side alone gives d.  The partner, C_(n-i) or
-    C_i^perpH, is never built: its dual, x * C_i or C_i^[q~], has C_i's
-    weights, so its own are their MacWilliams transform.  step(0) is the
-    trivial [[n, n, 1]] code.  Distances are exact when C_i's q^i words are
-    in budget, else the certified lower bound on d(C_i^perp).
+    A step builds no code but C_i, for every construction, and only when
+    its q^i words are in budget; it asks the sequence for no other level.
+    C_(n-i) is the certified dual x^-1 * C_i^perp, and C_i <= C_(n-i) says
+    x * C_i is orthogonal to C_i.  The Z side (C_(n-i)^perp, C_i^perp) =
+    x * (C_i, C_(n-i)) has the X side's weights, so the X side alone gives
+    d.  The partner, C_(n-i) or C_i^perpH, is never built: its dual, x * C_i
+    or C_i^[q~], has C_i's weights, so its own are their MacWilliams
+    transform.  step(0) is the trivial [[n, n, 1]] code.  Distances are
+    exact when C_i's q^i words are in budget, else the certified lower
+    bound on d(C_i^perp).
     """
     if construction not in ("A", "B", "C", "hermitian"):
         raise ValueError(f"unknown construction {construction!r}")
@@ -163,6 +171,8 @@ def level_step(seq, cert, construction):
     if construction == "B" and x is not None and not (F.pow_table(q)[x] == x).all():
         # y with y^(q~+1) = x exists only when x takes values in F_{q~}
         raise ValueError("twist is not valued in the hermitian base field")
+    certified = cert.proves(ev) and (construction != "hermitian" or cert.status == "self-dual")
+    ms = np.array(seq.ms)
     held = 0  # the highest level whose gate held
 
     def step(i):
@@ -173,15 +183,23 @@ def level_step(seq, cert, construction):
             return None
         if i > held:
             rows = seq.rows(i)
-            partner_dual = rows if euclidean else F.pow_table(q)[rows]
-            if x is not None:
-                partner_dual = F.mul_table[partner_dual, x[None, :]]
-            if linalg.matmul(F, rows[held:], partner_dual.T).any():
-                if euclidean:
-                    raise ValueError(f"{ev.curve.tag}: C_{i} is not in its certified partner C_{n - i}")
-                return None
+            s0, t0 = held, 0  # the new rows B[s0:i] are paired with B[t0:i]
+            if certified:  # the pairs past top fill a trailing block, as the pole orders increase
+                live = past_top(ev, ms[held:i], ms[:i], 1 if euclidean else q)
+                s0, t0 = i - int(live[:, -1].sum()), i - int(live[-1].sum())
+            if s0 < i:
+                partner_dual = rows[t0:] if euclidean else F.pow_table(q)[rows[t0:]]
+                if x is not None:
+                    partner_dual = F.mul_table[partner_dual, x[None, :]]
+                if linalg.matmul(F, rows[s0:], partner_dual.T).any():
+                    if euclidean:
+                        raise ValueError(f"{ev.curve.tag}: C_{i} is not in its certified partner C_{n - i}")
+                    return None
             held = i
-        params = _stabilizer_css(seq.level(i), q, construction)
+        if F.order**i > work_budget():  # C_i's words are over budget: no code is built
+            params = QuantumParams(n, n - 2 * i, None, q, "lower-bound", construction)
+        else:
+            params = _stabilizer_css(seq.level(i), q, construction)
         return params.with_bound(dual_distance_bound(ev, seq.pole_of_level(i), cert))
 
     return step

@@ -138,8 +138,9 @@ def build_rows(builds):
 
 def _levels(ev, construction, at):
     """Rows of level_step: C at the levels at, the hermitian CSS at the pole orders at."""
-    seq = CodeSequence(ev)
-    step = level_step(seq, certify_duality(ev), construction)
+    cert = certify_duality(ev)
+    seq = CodeSequence(ev, cert)
+    step = level_step(seq, cert, construction)
     out = []
     for i in at if construction == "C" else [seq.ms.index(m) + 1 for m in at]:
         params = step(i)

@@ -8,11 +8,13 @@ from castleqec import linalg
 
 from castleqec.agcodes import (
     CodeSequence,
+    DualityCertificate,
     OnePointCode,
     certify_duality,
     dual_distance_bound,
     goppa_bound,
     order_bound,
+    past_top,
 )
 from castleqec.codes import LinearCode
 from castleqec.curves import EvaluationSet, PointedCurve, evaluation_set_from_json, sep_variable_curve
@@ -92,27 +94,33 @@ def test_sequence_levels_are_the_first_independent_basis_rows(path):
     poles, rows = ev.basis_rows(ev.dimension_set()[-1])
     _, grew = linalg.rref(F, rows.T)  # the rank profile of all n + g basis rows: the oracle
     assert [poles[j] for j in grew] == ev.dimension_set()
+    top = 40 if path == SUZUKI32 else n
     seq = CodeSequence(ev)
-    for i in range((40 if path == SUZUKI32 else n) + 1):  # an rref of its own per level
+    for i in range(top + 1):  # an rref of its own per level
+        assert seq.level(i) == LinearCode(F, n, rows[list(grew[:i])])
+    # with the certificate the rows are handed out once the anti-diagonal proves their rank
+    seq = CodeSequence(ev, certify_duality(ev))
+    assert seq._acc is None
+    assert (seq.rows(top) == rows[list(grew[:top])]).all()
+    for i in (0, 1, 2, top // 2, top):
         assert seq.level(i) == LinearCode(F, n, rows[list(grew[:i])])
 
 
 @pytest.mark.parametrize("construction,max_i", [("hermitian", 3), ("A", 2), ("C", 0)])
 def test_a_max_i_scan_builds_no_level_above_those_it_visits(monkeypatch, construction, max_i):
-    dimensions = []
-    original = linalg.RREFAccumulator.snapshot
-
-    def recording(acc):
-        dimensions.append(acc.dimension)
-        return original(acc)
-
-    monkeypatch.setattr(linalg.RREFAccumulator, "snapshot", recording)
+    levels, eliminated = [], []
+    original_level, original_rref = CodeSequence.level, linalg.rref
+    monkeypatch.setattr(CodeSequence, "level", lambda seq, i: levels.append(i) or original_level(seq, i))
+    monkeypatch.setattr(linalg, "rref", lambda F, M, n=None: eliminated.append(len(M)) or original_rref(F, M, n))
     ev = evset(hermitian_gf16)
-    seq = CodeSequence(ev)
-    monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
-    rows = scan_sequence(seq, certify_duality(ev), construction, max_i=max_i)
-    assert [i for i, _ in rows] == list(range(max_i + 1))
-    assert dimensions == list(range(1, max_i + 1))  # each visited level once, nothing above
+    cert = certify_duality(ev)
+    for budget, built in ((16**max_i, list(range(1, max_i + 1))), (1, [])):  # each visited level once, or none
+        levels.clear()
+        eliminated.clear()
+        monkeypatch.setenv("CASTLEQEC_BUDGET", str(budget))
+        rows = scan_sequence(CodeSequence(ev, cert), cert, construction, max_i=max_i)
+        assert [i for i, _ in rows] == list(range(max_i + 1))
+        assert levels == eliminated == built  # nothing above, and no elimination over budget
 
 
 SELF_DUAL = [
@@ -398,13 +406,62 @@ def test_levels_asked_for_in_descending_order_equal_the_ascending_ones(path):
     assert down[::-1] == [ascending.level(i) for i in range(top + 1)]
 
 
+@pytest.mark.parametrize("path", ALL_CURVE_FILES + TWISTED_FILES + [SUZUKI32], ids=lambda p: p.stem)
+def test_the_pole_sum_mask_skips_only_zero_gram_entries(path):
+    # the whole Gram matrix of the flag's basis functions, sum x f_s f_t^e, against past_top:
+    # every pair it leaves out vanishes, and the rank certificate's anti-diagonal does not
+    ev = _from_file(path)()
+    F, n, ms = ev.field, ev.n, ev.dimension_set()
+    cert = certify_duality(ev)
+    assert cert.proves(ev)
+    x = np.ones(n, dtype=np.uint16) if cert.twist is None else cert.twist
+    poles, rows = ev.basis_rows(ms[-1])
+    B = rows[[poles.index(m) for m in ms]]  # f_1 .. f_n, one per level
+    twisted = F.mul_table[B, x[None, :]]
+    forms = [1] + ([F.sqrt_order()] if F.k % 2 == 0 else [])  # euclidean, and hermitian over a square field
+    grams = {e: linalg.matmul(F, twisted, F.pow_table(e)[B].T) for e in forms}
+    for e, gram in grams.items():
+        assert not gram[~past_top(ev, ms, ms, e)].any(), e
+    half = np.arange((n + 1) // 2)
+    assert grams[1][half, n - 1 - half].all()
+    a, b = np.indices((n, n))
+    assert not past_top(ev, ms, ms)[a + b <= n - 2].any()  # the zeros below the anti-diagonal are the mask's
+
+
 def test_a_level_that_does_not_grow_is_an_error():
     ev = evset(elliptic_gf4)
-    seq = CodeSequence(ev)
-    seq._exponents[2] = seq._exponents[1]  # level 3 repeats the function of level 2
-    seq.level(2)
-    with pytest.raises(AssertionError, match=f"elliptic-gf4: level 3 does not grow at pole {seq.ms[2]}"):
-        seq.level(3)
+    for cert in (None, certify_duality(ev)):  # the accumulator, then the anti-diagonal
+        seq = CodeSequence(ev, cert)
+        seq._exponents[2] = seq._exponents[1]  # level 3 repeats the function of level 2
+        seq.level(2)
+        with pytest.raises(AssertionError, match=f"elliptic-gf4: level 3 does not grow at pole {seq.ms[2]}"):
+            seq.level(3)
+
+
+@pytest.mark.parametrize("path", ALL_CURVE_FILES + TWISTED_FILES, ids=lambda p: p.stem)
+def test_a_misordered_basis_fails_the_rank_certificate(path):
+    # the accumulator sees only the span; the anti-diagonal sees the pole orders too: the function of
+    # level a + 1 moved to level a + 2 has a pole sum within n + 2g - 2 with its mirror row, if the
+    # function moved down has not already failed at level a + 1
+    ev = _from_file(path)()
+    cert = certify_duality(ev)
+    for a in sorted({0, 1, ev.n // 4, (ev.n + 1) // 2 - 2}):
+        seq = CodeSequence(ev, cert)
+        seq._exponents[a], seq._exponents[a + 1] = seq._exponents[a + 1], seq._exponents[a]
+        with pytest.raises(AssertionError, match=f"level ({a + 1} .* {seq.ms[a]}|{a + 2} .* {seq.ms[a + 1]})$"):
+            seq.rows(a + 2)
+        swapped = CodeSequence(ev)
+        swapped._exponents[a], swapped._exponents[a + 1] = swapped._exponents[a + 1], swapped._exponents[a]
+        swapped.rows(a + 2)
+
+
+def test_only_certify_duality_on_the_same_evaluation_set_proves_a_certificate():
+    ev, again = evset(hermitian_gf16), evset(hermitian_gf16)
+    cert = certify_duality(ev)
+    assert cert.proves(ev) and not cert.proves(again)
+    assert not DualityCertificate(cert.status, cert.twist).proves(ev)  # made by hand
+    assert not DualityCertificate("unverified", reason="test", evset=ev).proves(ev)
+    assert CodeSequence(again, cert)._acc is not None  # a flag it does not prove keeps the accumulator
 
 
 @pytest.mark.parametrize("path", ALL_CURVE_FILES + TWISTED_FILES, ids=lambda p: p.stem)

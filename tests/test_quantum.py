@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from castleqec import linalg, quantum
+from castleqec import codes, linalg, quantum
 from castleqec.agcodes import (
     CodeSequence,
     DualityCertificate,
@@ -305,6 +305,15 @@ def whole_level_gate(level, twist):
     return not linalg.matmul(level.field, level.matrix, twisted_rows(level.field, level.matrix, twist).T).any()
 
 
+def spy_levels_asked(monkeypatch):
+    """The i of every CodeSequence.rows(i) and level(i) call, from now on."""
+    asked = {"rows": [], "level": []}
+    for name, seen in asked.items():
+        original = getattr(CodeSequence, name)
+        monkeypatch.setattr(CodeSequence, name, lambda seq, i, f=original, seen=seen: seen.append(i) or f(seq, i))
+    return asked
+
+
 @pytest.mark.parametrize("path", CURVE_FILES, ids=lambda p: p.stem)
 def test_certified_partner_is_the_sequence_level(path):
     ev = load(path)
@@ -331,8 +340,9 @@ def test_certified_partner_is_the_sequence_level(path):
 )
 def test_a_budget_one_scan_builds_no_dual(monkeypatch, path, construction):
     ev = load(path)
-    seq, cert = CodeSequence(ev), certify_duality(ev)
-    built = []
+    cert = certify_duality(ev)
+    seq = CodeSequence(ev, cert)
+    built, asked = [], spy_levels_asked(monkeypatch)
 
     def spy(name, original):
         def recording(*args):
@@ -348,22 +358,24 @@ def test_a_budget_one_scan_builds_no_dual(monkeypatch, path, construction):
     monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
     rows = scan_sequence(seq, cert, construction)
     assert len(rows) > 2 and all(p.d_provenance == "lower-bound" for _, p in rows[1:])
-    assert built == []
-    assert seq._acc.dimension <= ev.n // 2 + 1  # nothing past the first closed gate
+    assert built == [] and asked["level"] == []  # no level is built over budget
+    assert max(asked["rows"]) <= min(rows[-1][0] + 1, ev.n // 2)  # nothing past the first closed gate
 
 
 def test_a_one_level_c_scan_keeps_two_levels(monkeypatch):
     ev = load(ROOT / "curves/hermitian-gf16.json")
-    seq = CodeSequence(ev)
-    monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
-    rows = scan_sequence(seq, certify_duality(ev), "C", max_i=1)
+    cert = certify_duality(ev)
+    seq, asked = CodeSequence(ev, cert), spy_levels_asked(monkeypatch)
+    monkeypatch.setenv("CASTLEQEC_BUDGET", "16")
+    rows = scan_sequence(seq, cert, "C", max_i=1)
     assert [i for i, _ in rows] == [0, 1]
-    assert seq._acc.dimension <= 1
+    assert asked == {"rows": [1, 1], "level": [1]}  # the gate's rows and C_1, nothing above
 
 
 def test_a_full_c_scan_leaves_at_most_one_level_alive(monkeypatch):
     ev = load(ROOT / "curves/hermitian-gf16.json")
-    seq, handed = CodeSequence(ev), []
+    cert = certify_duality(ev)
+    seq, handed = CodeSequence(ev, cert), []
     original = CodeSequence.level
 
     def recording(self, i):
@@ -372,10 +384,11 @@ def test_a_full_c_scan_leaves_at_most_one_level_alive(monkeypatch):
         return level
 
     monkeypatch.setattr(CodeSequence, "level", recording)
-    monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
-    rows = scan_sequence(seq, certify_duality(ev), "C")
+    monkeypatch.setenv("CASTLEQEC_BUDGET", str(16**3))
+    rows = scan_sequence(seq, cert, "C")
     assert [i for i, _ in rows] == list(range(ev.n // 2 + 1))  # the whole flag up to n/2
-    assert len(handed) == ev.n // 2  # one level per step past the trivial one
+    assert len(handed) == 3  # one level per step in budget, none above 16^3 words
+    codes._enumerated.cache_clear()  # the weight memo keys on the codes it enumerated
     gc.collect()
     assert sum(ref() is not None for ref in handed) <= 1
 
@@ -541,47 +554,90 @@ def spy_pairings(monkeypatch, n):
     return seen
 
 
+def gate_pairing(ev, claim, construction, held, i):
+    """The gate product of step(i) above held: (rows, columns), or None when no pair is left to test.
+
+    With a certificate certify_duality proved on ev, the pair of basis rows
+    (s, t) is tested only when m_s + e m_t > n + 2g - 2, e = 1 for C and q~
+    otherwise, except for "hermitian" on a twisted flag; these pairs fill a
+    trailing block of B[held:i] x B[:i].  Any other claim pairs every new row.
+    """
+    if not (claim.evset is ev and (construction != "hermitian" or claim.status == "self-dual")):
+        return (i - held, i)
+    S = ev.curve.semigroup
+    ms, top = ev.dimension_set(), ev.n + 2 * S.genus - 2
+    e = 1 if construction == "C" else ev.field.sqrt_order()
+    rows = sum(ms[s] + e * ms[i - 1] > top for s in range(held, i))
+    columns = sum(ms[i - 1] + e * ms[t] > top for t in range(i))
+    return (rows, columns) if rows else None
+
+
 @pytest.mark.parametrize("path", ORACLE_FILES, ids=lambda p: p.stem)
 def test_the_incremental_gate_decides_as_the_whole_level_test(monkeypatch, path):
     monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
     ev = load(path)
     cert = certify_duality(ev)
+    assert cert.proves(ev)
     rows = first_independent_rows(ev, ev.n // 2 + 1)
-    cases = [(c, cert) for c in ("A", "B", "C", "hermitian")]
+    handmade = DualityCertificate(cert.status, cert.twist)  # the same claim, not proven on ev: no pole sums
+    cases = [(c, claim) for claim in (cert, handmade) for c in ("A", "B", "C", "hermitian")]
     if cert.status == "formally-self-dual":  # a false claim of self-duality, which the C gate must refuse
         cases.append(("C", DualityCertificate("self-dual")))
-    pairings, checked = spy_pairings(monkeypatch, ev.n), 0
+    pairings, asked, checked = spy_pairings(monkeypatch, ev.n), spy_levels_asked(monkeypatch), 0
     for construction, claim in cases:
         try:
-            level_step(CodeSequence(ev), claim, construction)
+            level_step(CodeSequence(ev, claim), claim, construction)
         except ValueError:
             continue  # the construction does not apply to this flag or field
         gates = gram_gates(ev.field, rows, claim, construction)
         gated = list(gates)
         for order in (gated, random.Random(path.stem).sample(gated, len(gated))):  # as a manifest may call
-            step, held = level_step(CodeSequence(ev), claim, construction), 0
+            seq = CodeSequence(ev, claim)
+            seq.rows(ev.n // 2)  # the rank proof, before the spies count the gate's products
+            step, held = level_step(seq, claim, construction), 0
             for i in order:
                 pairings.clear()
+                asked["level"].clear()
                 assert step_gate(step, i) == gates[i], (construction, claim.status, i)
-                # one product of the rows C_i adds to the highest level that held, none at or below it
-                assert pairings == ([(i - held, i)] if held < i <= ev.n // 2 else []), (construction, i)
+                # a product only of the rows C_i adds to the highest level that held, none at or below it
+                pairing = gate_pairing(ev, claim, construction, held, i) if held < i <= ev.n // 2 else None
+                assert pairings == ([] if pairing is None else [pairing]), (construction, i)
+                assert asked["level"] == []  # nothing is built at budget 1
                 if gates[i]:
                     held = max(held, i)
         checked += 1
     assert checked
 
 
+@pytest.mark.parametrize("path", sorted(ROOT.glob("tests/data/twisted/*.json")), ids=lambda p: p.stem)
+def test_a_false_claim_made_by_hand_cannot_switch_off_the_c_gate(monkeypatch, path):
+    # the flag is twisted, so a hand-made claim of exact self-duality is false; pole sums would pass
+    # every C level, and only the product finds that C_i is not in C_(n-i)
+    monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
+    ev = load(path)
+    assert certify_duality(ev).status == "formally-self-dual"
+    claim = DualityCertificate("self-dual")
+    with pytest.raises(ValueError, match="is not in its certified partner"):
+        scan_sequence(CodeSequence(ev, claim), claim, "C")
+
+
 @pytest.mark.parametrize(
     "path,construction",
     [(ROOT / "curves/hermitian-gf16.json", c) for c in ("A", "B", "C", "hermitian")]
-    + [(ROOT / "perfbench/curves/maximal-2-6.json", "C")],
+    + [(ROOT / "perfbench/curves/maximal-2-6.json", "C")]
+    + [(ROOT / "tests/data/twisted/hermitian-gf64-sub4.json", c) for c in ("B", "hermitian")],
     ids=lambda v: v if isinstance(v, str) else v.stem,
 )
 def test_a_scan_gate_pairs_only_the_row_its_level_adds(monkeypatch, path, construction):
     monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
     ev = load(path)
-    seq, cert = CodeSequence(ev), certify_duality(ev)
+    cert = certify_duality(ev)
+    seq = CodeSequence(ev, cert)
+    seq.rows(ev.n // 2)  # the rank proof, before the spy counts the gate's products
     pairings = spy_pairings(monkeypatch, ev.n)
     last = scan_sequence(seq, cert, construction)[-1][0]
     gated = range(1, min(last + 1, ev.n // 2) + 1)  # the levels scanned, and the one whose gate closed
-    assert last > 1 and pairings == [(1, i) for i in gated]
+    expected = [gate_pairing(ev, cert, construction, i - 1, i) for i in gated]
+    assert last > 1 and pairings == [p for p in expected if p is not None]
+    assert all(rows == 1 for rows, _ in pairings)
+    assert (construction == "C") == (pairings == [])  # the C gate lies within the pole sums
