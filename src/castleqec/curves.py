@@ -21,6 +21,7 @@ import operator
 
 import numpy as np
 
+from . import linalg
 from .fields import GF, MAX_ORDER, UnsupportedFieldError, field_from_json, json_int, json_ints
 from .semigroups import NumericalSemigroup, accumulate_classes
 
@@ -93,6 +94,12 @@ class PointedCurve:
                 expos[hit] = power_base * expos[src[hit]]
                 power *= power_base
         return list(zip(nongaps.tolist(), zip(*expos.T.tolist())))
+
+    def apery_basis(self, j):
+        """[(w_r, exponents of M_r)] over the classes r mod v = pole_orders[j], w_r the least nongap
+        in class r, ascending.  w_r - v is a gap, so M_r is free of generator j."""
+        S, v = self.semigroup, self.pole_orders[j]  # every w_r - v is a gap, so w_r < c + v
+        return [(s, e) for s, e in self.basis_exponents(S.conductor + v - 1) if not S.contains(s - v)]
 
     def __repr__(self):
         return f"<curve {self.tag}: genus {self.genus} over {self.field!r}, {self.num_rational_points} points>"
@@ -255,7 +262,7 @@ class EvaluationSet:
         self.coords = np.ascontiguousarray(cols[:, order])
         self.n = self.coords.shape[1]
         assert self.n == self.fiber_size * len(self.U)
-        self._fib_idx = idx
+        self.fibration_index = idx
 
     @property
     def field(self):
@@ -281,6 +288,12 @@ class EvaluationSet:
         """
         basis = self.curve.basis_exponents(min(m, self.dimension_set()[-1]), power_base)
         return [rho for rho, _ in basis], self.monomial_rows([e for _, e in basis])
+
+    def fiber_sums(self, rows):
+        """(len(rows), |U|): the sum of each row over each fiber; points run fiber by fiber, U ascending."""
+        U, v, F = np.array(self.U), self.fiber_size, self.field
+        assert (self.coords[self.fibration_index] == np.repeat(U, v)).all(), "points must run fiber by fiber"
+        return linalg.matmul(F, rows.reshape(-1, v), np.ones((v, 1), dtype=np.uint16)).reshape(len(rows), len(U))
 
     def monomial_rows(self, expos):
         """Row i holds the monomial prod(gen_j^expos[i][j]) at each point.
@@ -315,7 +328,7 @@ class EvaluationSet:
         h_prime = np.zeros(F.order, dtype=np.uint16)
         h_prime[U] = F.exp[F.log[diffs].astype(np.int64).sum(axis=1) % (F.order - 1)]
         y = self.coords[self.curve.generator_index(other)]
-        denominator = F.mul_table[f_y[y], h_prime[self.coords[self._fib_idx]]]
+        denominator = F.mul_table[f_y[y], h_prime[self.coords[self.fibration_index]]]
         assert denominator.all(), "totally split fibers have no ramified point"
         return F.mul_table[denominator[0], F.inv_table[denominator]]
 

@@ -36,7 +36,7 @@ class NumericalSemigroup:
             bound *= 2
             self._member = self._sieve(bound)
 
-        gaps = np.nonzero(~self._member)[0]
+        self._gaps = gaps = np.nonzero(~self._member)[0]
         self.gaps = tuple(int(v) for v in gaps)
         self.genus = len(self.gaps)
         self.conductor = int(gaps[-1]) + 1 if self.genus else 0
@@ -48,7 +48,6 @@ class NumericalSemigroup:
         size = max(2 * self.conductor, self.conductor + self.multiplicity + 1)
         if len(self._member) < size:  # every integer from the conductor on is a member
             self._member = np.concatenate([self._member, np.ones(size - len(self._member), dtype=bool)])
-        self._cum_members = np.cumsum(self._member)
         counts = self._member[:size].astype(np.int64)
         self._nu = np.convolve(counts, counts)[:size]
         # minimal generating system: the nonzero members whose only sums of
@@ -82,12 +81,10 @@ class NumericalSemigroup:
         return out
 
     def ell(self, m):
-        """Number of members in [0, m] (the dimension of L(mQ) on a curve)."""
-        if m < 0:
-            return 0
-        if m >= len(self._member):
-            return int(self._cum_members[-1]) + m - (len(self._member) - 1)
-        return int(self._cum_members[m])
+        """Number of members in [0, m] (the dimension of L(mQ) on a curve), for an int or an int array:
+        the m + 1 integers in [0, m] less the gaps among them."""
+        r = np.maximum(m + 1 - self._gaps.searchsorted(m, side="right"), 0)
+        return r if isinstance(m, np.ndarray) else int(r)
 
     def rho(self, r):
         """The r-th member, 1-indexed: rho(1) = 0."""

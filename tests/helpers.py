@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from castleqec import codes, kernels, linalg
+from castleqec.agcodes import DualityCertificate
 from castleqec.codes import LinearCode
 from castleqec.curves import CATALOGUE, EvaluationSet, curve_from_json, hyperelliptic_odd
 from castleqec.fields import GF, UnsupportedFieldError, embedding, prime_power
@@ -213,7 +214,7 @@ def kernel_functions(ev, m):
     Each function is a list of (coefficient, exponent tuple) monomial
     terms; there are exactly abundance(m) of them.
     """
-    phi, j = phi_coefficients(ev), ev._fib_idx
+    phi, j = phi_coefficients(ev), ev.fibration_index
     return [
         [(c, expo[:j] + (expo[j] + d,) + expo[j + 1 :]) for d, c in enumerate(phi) if c]
         for _, expo in ev.curve.basis_exponents(m - ev.n)
@@ -224,6 +225,29 @@ def evaluate_function(ev, terms):
     """Evaluate a list of (coefficient, exponent tuple) terms at the points."""
     coeffs = np.array([[c for c, _ in terms]], dtype=np.uint16)
     return linalg.matmul(ev.field, coeffs, ev.monomial_rows([e for _, e in terms]))[0]
+
+
+def certify_duality_by_rows(evset):
+    """certify_duality row by row: the dimension complements at each element
+    of the dimension set, then every basis row of L((n + 2g - 2)Q), a block
+    at a time, against the residue twist."""
+    S = evset.curve.semigroup
+    n, g = evset.n, S.genus
+    top = n + 2 * g - 2
+    for m in S.dimension_set(n):
+        if m <= top and S.ell(m) - S.ell(m - n) + S.ell(top - m) - S.ell(top - m - n) != n:
+            return DualityCertificate("unverified", reason=f"dim C({m}Q) + dim C({top - m}Q) != n = {n}")
+    x = evset.residue_twist()
+    if x is None:
+        return DualityCertificate("unverified", reason=f"the curve records no side for fibration {evset.fibration}")
+    expos = [e for _, e in evset.curve.basis_exponents(min(top, evset.dimension_set()[-1]))]
+    block = max(1, (1 << 22) // (8 * n))
+    for b in range(0, len(expos), block):
+        if linalg.matmul(evset.field, evset.monomial_rows(expos[b : b + block]), x[:, None]).any():
+            return DualityCertificate("unverified", reason=f"the residue twist is not orthogonal to C({top}Q)")
+    if (x == 1).all():
+        return DualityCertificate("self-dual", evset=evset)
+    return DualityCertificate("formally-self-dual", x, evset=evset)
 
 
 def gv_status_by_summing(n, k, d, q):

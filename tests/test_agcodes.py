@@ -1,3 +1,5 @@
+import copy
+import itertools
 import json
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from castleqec.curves import EvaluationSet, PointedCurve, evaluation_set_from_js
 from castleqec.fields import GF
 from castleqec.quantum import level_step, scan_sequence
 from helpers import (
+    certify_duality_by_rows,
     elliptic_gf3,
     elliptic_gf4,
     elliptic_gf9,
@@ -235,19 +238,71 @@ def test_a_twist_with_one_entry_changed_fails_the_oracle_and_the_certificate(mon
 
 
 def test_certify_duality_is_one_product_against_the_top_code(monkeypatch):
-    calls = []
-    original = linalg.matmul
+    # v evaluated rows, their fiber sums T and one product T V^T, of which the l((n + 2g - 2)Q) = n + g - 1
+    # entries within n + 2g - 2 must vanish: each one alone made nonzero fails the certificate
+    ev = evset(hermitian_gf16, fibration="y")
+    n, g, v, u = ev.n, ev.curve.genus, ev.fiber_size, len(ev.U)
+    width = (n + 2 * g - 2) // v + 1
+    asked, calls, poke = [], [], []
+    original_rows, original_matmul = ev.monomial_rows, linalg.matmul
 
     def spy(field, A, B):
         calls.append((A.shape, B.shape))
-        return original(field, A, B)
+        out = original_matmul(field, A, B)
+        if A.shape == (v, u) and poke:
+            out[poke[-1]] = 1
+        return out
 
+    monkeypatch.setattr(ev, "monomial_rows", lambda expos: asked.append(len(expos)) or original_rows(expos))
     monkeypatch.setattr(linalg, "matmul", spy)
     monkeypatch.setattr(linalg, "kernel_basis", None)
-    ev = evset(hermitian_gf16, fibration="y")
-    g = ev.curve.genus
     assert certify_duality(ev).status == "formally-self-dual"
-    assert calls == [((ev.n + g - 1, ev.n), (ev.n, 1))]  # l((n + 2g - 2)Q) = n + g - 1 rows
+    assert asked == [v]
+    assert calls == [((v * u, v), (v, 1)), ((v, u), (u, width))]
+    required = 0
+    for entry in itertools.product(range(v), range(width)):
+        poke.append(entry)
+        required += certify_duality(ev).status == "unverified"
+    assert required == n + g - 1
+
+
+def test_certify_duality_evaluates_its_rows_in_4_mb_blocks(monkeypatch):
+    ev = evaluation_set_from_json({"family": "suzuki", "params": {"q0": 8}})  # n = 16,384, v = 128
+    asked, original_rows = [], ev.monomial_rows
+    monkeypatch.setattr(ev, "monomial_rows", lambda expos: asked.append(len(expos)) or original_rows(expos))
+    assert certify_duality(ev).status == "self-dual"
+    assert asked == [(1 << 22) // (8 * ev.n)] * 4
+
+
+@pytest.mark.parametrize("path", ALL_CURVE_FILES + TWISTED_FILES + [SUZUKI32], ids=lambda p: p.stem)
+def test_the_fiber_sums_give_the_row_by_row_certificate(monkeypatch, path):
+    # the true twist, the true twist with one entry scaled, and all ones where the flag is only
+    # formally self-dual
+    ev = _from_file(path)()
+    F, x = ev.field, ev.residue_twist()
+    twists = {"true": x}
+    if F.order > 2:
+        twists["scaled"] = x.copy()
+        twists["scaled"][ev.n // 2] = F.mul_table[x[ev.n // 2], F.exp[1]]
+    if (x != 1).any():
+        twists["ones"] = np.ones(ev.n, dtype=np.uint16)
+    for name, twist in twists.items():
+        monkeypatch.setattr(ev, "residue_twist", lambda: twist)
+        cert, oracle = certify_duality(ev), certify_duality_by_rows(ev)
+        assert (cert.status, cert.reason) == (oracle.status, oracle.reason), name
+        assert (cert.twist is None and oracle.twist is None) or np.array_equal(cert.twist, oracle.twist), name
+        assert (oracle.status == "unverified") == (name != "true"), name
+
+
+def test_a_point_order_that_does_not_run_fiber_by_fiber_fails_the_layout_assertion():
+    ev = evset(hermitian_gf16)
+    shuffled, v = copy.copy(ev), ev.fiber_size
+    order = np.arange(ev.n)
+    order[[v - 1, v]] = order[[v, v - 1]]  # the last point over U_0 trades places with the first over U_1
+    shuffled.coords = ev.coords[:, order]
+    with pytest.raises(AssertionError, match="points must run fiber by fiber"):
+        certify_duality(shuffled)
+    assert certify_duality(ev).status == "self-dual"
 
 
 def test_a_curve_without_a_side_for_its_fibration_is_unverified():

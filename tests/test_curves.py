@@ -167,7 +167,7 @@ def test_basis_matches_box_walk_and_scalar_evaluation(path):
     ev = evaluation_set_from_json(json.loads(path.read_text()))
     curve, F = ev.curve, ev.field
     # canonical point order: fiber value, then the coordinate tuple
-    key = [(pt[ev._fib_idx], pt) for pt in ev.points]
+    key = [(pt[ev.fibration_index], pt) for pt in ev.points]
     assert key == sorted(key)
     top = ev.dimension_set()[-1]
     subfields = [q0 for q0 in range(2, F.order) if is_subfield_order(F, q0)]

@@ -78,6 +78,14 @@ def test_ell_counts_and_plateau():
     assert S.ell(-3) == 0
 
 
+@pytest.mark.parametrize("gens", [[1], [2, 3], [3, 5], [4, 6, 9], [8, 9]])
+def test_ell_of_an_array_is_ell_of_each_entry(gens):
+    S = NumericalSemigroup(gens)
+    m = np.arange(-5, 3 * S.conductor + 10)
+    assert S.ell(m).tolist() == [sum(1 for s in range(k + 1) if S.contains(s)) for k in m.tolist()]
+    assert type(S.ell(7)) is int
+
+
 def test_rho():
     S = NumericalSemigroup([2, 3])
     assert [S.rho(r) for r in range(1, 6)] == [0, 2, 3, 4, 5]
