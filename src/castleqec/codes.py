@@ -120,7 +120,10 @@ class LinearCode:
         return self.frobenius_power(self.field.sqrt_order()).dual()
 
     def is_self_orthogonal(self, mode="euclidean"):
-        """Whether C is contained in its (Euclidean or Hermitian) dual."""
+        """Whether C is contained in its (Euclidean or Hermitian) dual; an unknown mode raises.
+
+        Both duals have dimension n - k, so 2k > n answers False with no Gram product.
+        """
         if self.dimension == 0:
             return True
         if mode == "euclidean":
@@ -129,7 +132,7 @@ class LinearCode:
             other = self.field.pow_table(self.field.sqrt_order())[self.matrix]
         else:
             raise ValueError(f"unknown orthogonality mode {mode!r}")
-        return not linalg.matmul(self.field, self.matrix, other.T).any()
+        return 2 * self.dimension <= self.n and not linalg.matmul(self.field, self.matrix, other.T).any()
 
     def trace_code(self, small):
         """The code {(Tr(c_1), ..., Tr(c_n)) : c in C} over the subfield."""

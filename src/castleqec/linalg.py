@@ -66,23 +66,29 @@ def rref(field, rows, n=None):
 def _rref_gf2(M):
     """rref over GF(2) with each row one Python integer, column 0 the top bit.
 
-    An XOR basis keyed by leading bit takes the rows in turn; clearing the
-    lower pivot bits of each basis row, lowest first, then reduces it.
+    An XOR basis keyed by leading bit takes the rows in turn until it spans
+    all columns.  Back-substitution takes the leads in ascending order: the
+    rows of the lower leads (done) are reduced already, so they are zero at
+    every other pivot, and one XOR per set bit of v & done reduces v.
     """
     width = -(-M.shape[1] // 8)  # bytes per packed row; column c is bit 8 width - 1 - c
     basis = {}
     for row in np.packbits(M.astype(np.uint8), axis=1):
         v = int.from_bytes(row.tobytes(), "big")
-        while v and v.bit_length() - 1 in basis:
-            v ^= basis[v.bit_length() - 1]
+        while v and (lead := v.bit_length() - 1) in basis:
+            v ^= basis[lead]
         if v:
-            basis[v.bit_length() - 1] = v
-    leads = sorted(basis)
-    for i, lead in enumerate(leads):
-        for low in leads[:i]:
-            if basis[lead] >> low & 1:
-                basis[lead] ^= basis[low]
-    leads.reverse()  # pivot columns ascending
+            basis[lead] = v
+            if len(basis) == M.shape[1]:
+                break
+    done = 0
+    for lead in sorted(basis):
+        v, hits = basis[lead], basis[lead] & done
+        while hits:
+            low = hits.bit_length() - 1
+            v, hits = v ^ basis[low], hits ^ 1 << low
+        basis[lead], done = v, done | 1 << lead
+    leads = sorted(basis, reverse=True)  # pivot columns ascending
     data = b"".join(basis[lead].to_bytes(width, "big") for lead in leads)
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(len(leads), width), axis=1)
     return bits[:, : M.shape[1]].astype(np.uint16), tuple(8 * width - 1 - lead for lead in leads)

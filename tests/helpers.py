@@ -250,6 +250,13 @@ def certify_duality_by_rows(evset):
     return DualityCertificate("formally-self-dual", x, evset=evset)
 
 
+def self_orthogonal_by_gram(code, mode):
+    """Whether the whole Gram product of C's rows with their (conjugated, for hermitian) copies vanishes, whatever k."""
+    M = code.matrix
+    other = M if mode == "euclidean" else code.field.pow_table(code.field.sqrt_order())[M]
+    return not linalg.matmul(code.field, M, other.T).any()
+
+
 def gv_status_by_summing(n, k, d, q):
     """gv_status recomputed term by term: the sum grows with d' until it
     reaches the left side, so d_max is the last d' whose sum stays below."""

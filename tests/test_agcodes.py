@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import json
 from pathlib import Path
@@ -17,6 +18,8 @@ from castleqec.agcodes import (
     goppa_bound,
     order_bound,
     past_top,
+    report_fields,
+    trace_code,
 )
 from castleqec.codes import LinearCode
 from castleqec.curves import EvaluationSet, PointedCurve, evaluation_set_from_json, sep_variable_curve
@@ -36,6 +39,7 @@ from helpers import (
     maximal_gf81,
     nt_gf8,
     ntq_gf16,
+    self_orthogonal_by_gram,
     star,
     suzuki8,
     twisted_gf9,
@@ -530,3 +534,51 @@ def test_the_certified_dual_distance_bound_never_exceeds_the_exact_distance(monk
         d, status = seq.level(i).dual().min_weight()
         assert status == "exact"
         assert dual_distance_bound(ev, seq.pole_of_level(i), cert) <= d
+
+
+# -- self-orthogonality: the Gram product only where the dimension does not decide ----------
+
+
+def _last_true(pred, count):
+    """The largest i < count with pred(i), pred true on a prefix of range(count); -1 if none."""
+    lo, hi = -1, count
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if pred(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("path", ALL_CURVE_FILES + TWISTED_FILES, ids=lambda p: p.stem)
+def test_is_self_orthogonal_matches_the_whole_gram_product(path):
+    # the flag C(mQ) and the trace codes to each subfield are nested, so self-orthogonality and 2k <= n
+    # hold on a prefix: sampled codes, and the last code of each prefix and the next, in both modes
+    # where the field is square
+    ev = _from_file(path)()
+    F, n, ms = ev.field, ev.n, ev.dimension_set()
+    seq = CodeSequence(ev)
+    families = [(F, n + 1, functools.cache(seq.level))]
+    for j in range(1, F.k):
+        if F.k % j == 0:
+            small = GF(F.p**j)
+            families.append((small, len(ms), functools.cache(lambda i, small=small: trace_code(ev, ms[i], small))))
+    for field, count, code in families:
+        half = _last_true(lambda i: 2 * code(i).dimension <= n, count)
+        for mode in ("euclidean", "hermitian") if field.k % 2 == 0 else ("euclidean",):
+            last = _last_true(lambda i: self_orthogonal_by_gram(code(i), mode), count)
+            picks = {*range(0, count, max(1, count // 4)), count - 1, last, last + 1, half, half + 1}
+            for i in sorted(picks & set(range(count))):
+                assert code(i).is_self_orthogonal(mode) == self_orthogonal_by_gram(code(i), mode), (field, mode, i)
+
+
+def test_report_fields_forms_no_gram_product_past_half_length(monkeypatch):
+    monkeypatch.setenv("CASTLEQEC_BUDGET", "1")  # no weight enumeration: every product is a Gram product
+    products = []
+    original = linalg.matmul
+    monkeypatch.setattr(linalg, "matmul", lambda *args: products.append(1) or original(*args))
+    ev = evset(hermitian_gf16)
+    seq = CodeSequence(ev)
+    big = trace_code(ev, ev.dimension_set()[-1], GF(2))
+    for code, expected in ((seq.level(32), 2), (seq.level(33), 0), (seq.level(64), 0), (big, 0)):
+        products.clear()
+        report_fields(code)
+        assert len(products) == expected, code

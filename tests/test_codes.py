@@ -249,6 +249,15 @@ def test_hermitian_self_orthogonality_mode():
         C.is_self_orthogonal("unitary")
 
 
+def test_an_unknown_orthogonality_mode_raises_past_half_length_too():
+    # 2k > n answers False for either form, but only after the mode is known
+    for code in (LinearCode.full(GF(4), 3), LinearCode(GF(2), 3, [[1, 1, 0], [0, 1, 1]])):
+        assert 2 * code.dimension > code.n
+        assert not code.is_self_orthogonal("euclidean")
+        with pytest.raises(ValueError, match="unknown orthogonality mode 'bogus'"):
+            code.is_self_orthogonal("bogus")
+
+
 def test_trace_code_examples():
     F4, F2 = GF(4), GF(2)
     rep = LinearCode(F4, 5, [[1, 1, 1, 1, 1]])

@@ -153,13 +153,34 @@ def test_gf2_elimination_matches_generic_path(n):
     # a 0/1 matrix has the same RREF and kernel over GF(4), which takes the table path
     F2, F4 = GF(2), GF(4)
     rng = random.Random(n)
-    for M in [*kernel_cases(rng, 2, n), random_matrix(rng, 2, n + 9, n), np.eye(n, dtype=np.uint16)[::-1]]:
+    full = np.eye(n, dtype=np.uint16)[::-1]
+    cases = [*kernel_cases(rng, 2, n), random_matrix(rng, 2, n + 9, n), full]
+    cases.append(np.vstack([full, random_matrix(rng, 2, 5, n)]))  # rank n after n rows, then more rows
+    for M in cases:
         R2, p2 = rref(F2, M, n)
         R4, p4 = rref(F4, M, n)
         assert p2 == p4 and R2.dtype == R4.dtype and R2.shape == R4.shape and (R2 == R4).all()
         assert all(type(c) is int for c in p2)
         K2, K4 = kernel_basis(F2, M, n), kernel_basis(F4, M, n)
         assert K2.shape == K4.shape and (K2 == K4).all()
+
+
+@pytest.mark.parametrize("k,n", [(3, 0), (0, 5), (0, 8), (0, 9), (0, 0)])
+def test_gf2_elimination_of_empty_shapes_matches_generic_path(k, n):
+    # no columns, no rows, or neither: the packed rows are empty byte strings or there are none
+    M = np.zeros((k, n), dtype=np.uint16)
+    found = []
+    for F in (GF(2), GF(4)):
+        R, pivots = rref(F, M, n)
+        K = kernel_basis(F, M, n)
+        code = LinearCode(F, n, M)
+        found.append((R, pivots, K, code.matrix, code.pivots))
+    for a, b in zip(*found):
+        if isinstance(a, tuple):
+            assert a == b == ()
+        else:
+            assert a.dtype == b.dtype == np.uint16 and a.shape == b.shape and (a == b).all()
+    assert found[0][0].shape == (0, n) and found[0][2].shape == (n, n)
 
 
 MATMUL_FIELDS = [2, 3, 4, 5, 8, 9, 16, 25, 27, 32, 64, 81, 243, 1021, 1024]

@@ -1,12 +1,17 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from castleqec import linalg
 from castleqec.agcodes import (
     OnePointCode,
     incomplete_trace_search,
     trace_code,
     trace_rows,
 )
+from castleqec.curves import curve_from_json, evaluation_set_from_json
 from castleqec.fields import GF, embedding
 from helpers import elliptic_gf4, evset, hermitian_gf9, hermitian_gf16, suzuki8
 
@@ -138,3 +143,26 @@ def test_incomplete_trace_hermitian_gf16():
     assert code <= code.dual()
     d, status = code.dual().min_weight()
     assert (d, status) == (3, "exact")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+CURVE_FILES = sorted(ROOT.glob("curves/*.json")) + sorted(ROOT.glob("perfbench/curves/*.json"))
+BINARY_FILES = [path for path in CURVE_FILES if curve_from_json(json.loads(path.read_text())).field.p == 2]
+
+
+@pytest.mark.parametrize("path", BINARY_FILES, ids=lambda p: p.stem)
+def test_trace_rows_eliminate_alike_on_the_packed_and_table_paths(path):
+    # a 0/1 matrix has the same RREF over GF(2) (rows as packed integers) and GF(4) (table path):
+    # the trace rows to GF(2), and the digit planes of those to a larger subfield, stacked
+    ev = evaluation_set_from_json(json.loads(path.read_text()))
+    F, n, ms = ev.field, ev.n, ev.dimension_set()
+    subfields = [GF(2 ** j) for j in range(1, F.k) if F.k % j == 0]
+    assert subfields
+    for small in subfields:
+        for m in sorted({ms[0], ms[len(ms) // 4], ms[len(ms) // 2], ms[-1]}):
+            rows, _ = trace_rows(ev, m, small)
+            binary = small.digits[rows].transpose(2, 0, 1).reshape(-1, n)
+            R2, p2 = linalg.rref(GF(2), binary, n)
+            R4, p4 = linalg.rref(GF(4), binary, n)
+            assert p2 == p4 and R2.shape == R4.shape and (R2 == R4).all(), (small, m)
+        assert len(binary) > n  # at the top of the dimension set the rows outnumber n
