@@ -134,8 +134,8 @@ class CodeSequence:
     def __init__(self, evset, cert=None):
         self.evset = evset
         self.ms = evset.dimension_set()
-        exponents = dict(evset.curve.basis_exponents(self.ms[-1]))
-        self._exponents = [exponents[m] for m in self.ms]
+        poles, expos = evset.curve.basis_table(self.ms[-1])
+        self._exponents = list(map(tuple, expos[np.searchsorted(poles, self.ms)].tolist()))
         self._rows = np.zeros((0, evset.n), dtype=np.uint16)  # the basis rows evaluated so far
         if cert is not None and cert.proves(evset):
             self._acc = None
@@ -286,7 +286,9 @@ def trace_rows(evset, m, small):
     S = evset.curve.semigroup
     poles, rows = evset.basis_rows(m, power_base=q0)  # capped where the code stabilizes
     keep = [i for i, rho in enumerate(poles) if rho and not (rho % q0 == 0 and S.contains(rho // q0))]
-    out = np.concatenate([np.ones((1, evset.n), dtype=np.uint16), emb.trace_rows(rows[keep])])
+    out = np.empty((1 + len(keep) * r, evset.n), dtype=np.uint16)
+    out[0] = 1
+    emb.trace_rows(rows[keep], out=out[1:])
     blocks = [(0, [0])] + [(poles[i], list(range(1 + t * r, 1 + (t + 1) * r))) for t, i in enumerate(keep)]
     return out, blocks
 

@@ -58,7 +58,9 @@ class LinearCode:
         """The code of a matrix already in RREF, kept as it is: no elimination."""
         code = cls.__new__(cls)
         code.field, code.n, code.matrix = field, n, R
-        code.pivots = tuple(int(c) for c in (np.argmax(R != 0, axis=1) if pivots is None else pivots))
+        if pivots is None:  # a length-0 code has no rows, and no axis to take an argmax along
+            pivots = np.argmax(R != 0, axis=1) if R.shape[1] else ()
+        code.pivots = tuple(int(c) for c in pivots)
         return code
 
     @classmethod

@@ -16,6 +16,8 @@ descriptors of the named curves, one per file of curves/ and perfbench/curves/.
 
 from __future__ import annotations
 
+import collections
+import json
 import math
 import operator
 
@@ -25,6 +27,9 @@ from . import linalg
 from .fields import GF, MAX_ORDER, UnsupportedFieldError, field_from_json, json_int, json_ints
 from .semigroups import NumericalSemigroup, accumulate_classes
 
+MEMO_EVALUATION_SETS = 16  # evaluation sets kept, least recently used dropped first
+_EVALUATION_SETS = collections.OrderedDict()  # content key of a descriptor -> its EvaluationSet
+
 
 class PointedCurve:
     def __init__(self, field, tag, generator_names, pole_orders, affine_coords, sides=None):
@@ -32,11 +37,13 @@ class PointedCurve:
         self.tag = tag
         self.generator_names = tuple(generator_names)
         self.pole_orders = tuple(int(v) for v in pole_orders)
-        self.affine_coords = np.asarray(affine_coords, dtype=np.uint16)
-        self.sides = dict(sides or {})
+        self.affine_coords = np.array(affine_coords, dtype=np.uint16)  # a copy: it is made read-only
+        self.affine_coords.setflags(write=False)
+        self.sides = {name: (other, tuple(coeffs)) for name, (other, coeffs) in (sides or {}).items()}
         assert self.affine_coords.shape[0] == len(self.generator_names)
         self.semigroup = NumericalSemigroup(self.pole_orders)
         self.genus = self.semigroup.genus
+        self._basis_tables = {}  # power base or None -> (top, poles, exponents), see basis_table
 
     @property
     def num_affine_points(self):
@@ -61,7 +68,12 @@ class PointedCurve:
             raise ValueError(f"curve {self.tag!r} has no generator {name!r}") from None
 
     def basis_exponents(self, m, power_base=None):
-        """Monomial basis of L(mQ) as [(pole order, exponent tuple)], pole ascending.
+        """Monomial basis of L(mQ) as [(pole order, exponent tuple)], pole ascending (see basis_table)."""
+        poles, expos = self.basis_table(m, power_base)
+        return list(zip(poles.tolist(), map(tuple, expos.tolist())))
+
+    def basis_table(self, m, power_base=None):
+        """(poles, exponents) of the monomial basis of L(mQ): read-only arrays, row i for the i-th nongap.
 
         One monomial per nongap: the first exponent tuple in product order
         realizing that pole order, i.e. each exponent in turn as small as the
@@ -70,9 +82,22 @@ class PointedCurve:
         With power_base = q0, whenever a pole order is q0 times another nongap
         the basis function is literally the q0-th power of the lower one,
         which the trace constructions rely on.
+
+        A row depends only on its pole s, never on m: t runs over the reach
+        below s, and a chain of t q0-th powers ending at s has s >= q0^t, so
+        the passes of a table to any top >= s settle it.  So the curve keeps
+        one table per power base, built again only for a larger m, and every
+        m takes its prefix with pole <= m.
         """
-        if m < 0:
-            return []
+        key = power_base if power_base is not None and power_base > 1 else None
+        table = self._basis_tables.get(key)
+        if table is None or table[0] < m:
+            table = self._basis_tables[key] = self._build_basis_table(max(m, 0), key)
+        _, poles, expos = table
+        end = np.searchsorted(poles, m, side="right")
+        return poles[:end], expos[:end]
+
+    def _build_basis_table(self, m, power_base):
         s = np.arange(m + 1)
         reach = [s == 0]  # reach[j][s]: s is a sum of multiples of pole_orders[j:]; built last first
         for v in reversed(self.pole_orders):
@@ -85,7 +110,7 @@ class PointedCurve:
             below = accumulate_classes(np.maximum, np.where(reach[j + 1], s, -1), v)  # the t of each s
             expos[:, j] = (rest - below[rest]) // v
             rest -= v * expos[:, j]
-        if power_base is not None and power_base > 1:
+        if power_base is not None:
             low = nongaps // power_base
             src = np.searchsorted(nongaps, low)  # <= the row itself, since low <= rho
             hit = np.flatnonzero((nongaps % power_base == 0) & (nongaps[src] == low))
@@ -93,7 +118,9 @@ class PointedCurve:
             while power <= m:  # pass t settles every chain of t q0-th powers, whose top is >= q0^t
                 expos[hit] = power_base * expos[src[hit]]
                 power *= power_base
-        return list(zip(nongaps.tolist(), zip(*expos.T.tolist())))
+        nongaps.setflags(write=False)
+        expos.setflags(write=False)
+        return m, nongaps, expos
 
     def apery_basis(self, j):
         """[(w_r, exponents of M_r)] over the classes r mod v = pole_orders[j], w_r the least nongap
@@ -260,9 +287,11 @@ class EvaluationSet:
         cols = curve.affine_coords[:, keep]
         order = np.lexsort(tuple(cols[::-1]) + (cols[idx],))  # the last key sorts first
         self.coords = np.ascontiguousarray(cols[:, order])
+        self.coords.setflags(write=False)
         self.n = self.coords.shape[1]
         assert self.n == self.fiber_size * len(self.U)
         self.fibration_index = idx
+        self._dimension_set = None
 
     @property
     def field(self):
@@ -277,17 +306,21 @@ class EvaluationSet:
         return self.curve.semigroup.ell(m - self.n)
 
     def dimension_set(self):
-        """Pole orders where the evaluation code strictly grows."""
-        return self.curve.semigroup.dimension_set(self.n)
+        """Pole orders where the evaluation code strictly grows; computed once, a new list each call."""
+        if self._dimension_set is None:
+            self._dimension_set = tuple(self.curve.semigroup.dimension_set(self.n))
+        return list(self._dimension_set)
 
     def basis_rows(self, m, power_base=None):
         """(pole orders, evaluation matrix) for the monomial basis of L(mQ).
 
         m is capped at the last dimension jump: the evaluated code never
-        changes past it.
+        changes past it.  The basis is the prefix with pole <= m of the
+        curve's table to that jump, which every m shares.
         """
-        basis = self.curve.basis_exponents(min(m, self.dimension_set()[-1]), power_base)
-        return [rho for rho, _ in basis], self.monomial_rows([e for _, e in basis])
+        poles, expos = self.curve.basis_table(self.dimension_set()[-1], power_base)
+        end = np.searchsorted(poles, m, side="right")
+        return poles[:end].tolist(), self.monomial_rows(expos[:end])
 
     def fiber_sums(self, rows):
         """(len(rows), |U|): the sum of each row over each fiber; points run fiber by fiber, U ascending."""
@@ -302,7 +335,7 @@ class EvaluationSet:
         then 0 wherever a zero coordinate has a positive exponent (0^0 = 1).
         """
         F = self.field
-        E = np.array(expos, dtype=np.int64).reshape(-1, self.coords.shape[0])
+        E = np.asarray(expos, dtype=np.int64).reshape(-1, self.coords.shape[0])
         zero = self.coords == 0
         out = F.exp[(E @ np.where(zero, 0, F.log[self.coords]).astype(np.int64)) % (F.order - 1)]
         out[np.matmul(E > 0, zero)] = 0
@@ -378,10 +411,52 @@ def curve_from_json(obj):
 
 
 def evaluation_set_from_json(obj):
-    """Curve descriptor plus optional "fibration" and "subset" keys."""
-    curve = curve_from_json(obj)
-    subset = None if obj.get("subset") is None else json_ints(obj["subset"], "subset")
-    return EvaluationSet(curve, fibration=obj.get("fibration"), subset=subset)
+    """Curve descriptor plus optional "fibration" and "subset" keys.
+
+    Evaluation sets are shared within a process: a descriptor with the
+    content of one of the last MEMO_EVALUATION_SETS built gets that same
+    object back, with its curve, semigroup and basis tables.  So nothing
+    may write to them, and their arrays are read-only.  An error is raised
+    anew on every call: only built sets are kept.
+    """
+    key = _content_key(obj)
+    ev = None if key is None else _EVALUATION_SETS.pop(key, None)
+    if ev is None:
+        curve = curve_from_json(obj)
+        subset = None if obj.get("subset") is None else json_ints(obj["subset"], "subset")
+        ev = EvaluationSet(curve, fibration=obj.get("fibration"), subset=subset)
+    if key is not None:
+        _EVALUATION_SETS[key] = ev  # the most recently used last
+        while len(_EVALUATION_SETS) > MEMO_EVALUATION_SETS:
+            _EVALUATION_SETS.popitem(last=False)
+    return ev
+
+
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
+
+def _content_key(obj):
+    """The descriptor as canonical JSON text, or None to bypass the cache.
+
+    The text tells true, 1 and 1.0 apart, as descriptor validation does.  It
+    would print a tuple as a list and an integer key as a string, so only
+    the types json.load makes are keyed: dicts with string keys, lists and
+    scalars, with no container met twice.
+    """
+    seen, stack = set(), [obj]
+    while stack:
+        value = stack.pop()
+        if type(value) is dict or type(value) is list:
+            if id(value) in seen or (type(value) is dict and not all(type(k) is str for k in value)):
+                return None
+            seen.add(id(value))
+            stack.extend(value.values() if type(value) is dict else value)
+        elif type(value) not in _JSON_SCALARS:
+            return None
+    try:
+        return json.dumps(obj, sort_keys=True)
+    except (RecursionError, ValueError):  # nested too deep, or an integer too long to print
+        return None
 
 
 # -- the named curves -----------------------------------------------------------------

@@ -21,6 +21,7 @@ import itertools
 import numpy as np
 
 MAX_ORDER = 1024
+_BLOCK = 1 << 18  # scaled big-field entries that Embedding.trace_rows traces at once
 
 
 class UnsupportedFieldError(ValueError):
@@ -311,11 +312,20 @@ class Embedding:
         """Coordinatewise trace of an array of big-field indices, as small-field indices."""
         return self.trace_table[np.asarray(arr)]
 
-    def trace_rows(self, M):
-        """Rows Tr(alpha^j g) for each row g of M and each j < ratio, g-major."""
+    def trace_rows(self, M, out=None):
+        """Rows Tr(alpha^j g) for each row g of M and each j < ratio, g-major, written into out if given.
+
+        The rows of M are scaled and traced a block at a time, at most
+        _BLOCK scaled entries at once.
+        """
         M = np.asarray(M, dtype=np.uint16)
-        scaled = self.big.mul_table[self._alpha_pows[None, :, None], M[:, None, :]]
-        return self.trace_vec(scaled).reshape(M.shape[0] * self.ratio, M.shape[1])
+        (k, n), r = M.shape, self.ratio
+        out = np.empty((k * r, n), dtype=np.uint16) if out is None else out
+        step = max(1, _BLOCK // max(r * n, 1))
+        for b in range(0, k, step):
+            scaled = self.big.mul_table[self._alpha_pows[None, :, None], M[b : b + step, None, :]]
+            out[b * r : (b + step) * r] = self.trace_vec(scaled).reshape(-1, n)
+        return out
 
 
 _EMBEDDINGS = {}

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 
 import numpy as np
 
-_BLOCK = 1 << 16  # entries of a product's gather or right-hand digit planes held at once
+_BLOCK = 1 << 16  # entries of a product's gather or right-hand digit planes, or of GF(2) rows packed, held at once
 
 
 def as_matrix(rows, n=None):
@@ -71,15 +72,18 @@ def _rref_gf2(M):
     rows of the lower leads (done) are reduced already, so they are zero at
     every other pivot, and one XOR per set bit of v & done reduces v.
     """
-    width = -(-M.shape[1] // 8)  # bytes per packed row; column c is bit 8 width - 1 - c
+    k, ncols = M.shape
+    width = -(-ncols // 8)  # bytes per packed row; column c is bit 8 width - 1 - c
+    step = max(1, _BLOCK // max(ncols, 1))  # rows packed, or unpacked, at once
+    packed = (np.packbits(M[b : b + step].astype(np.uint8), axis=1) for b in range(0, k, step))
     basis = {}
-    for row in np.packbits(M.astype(np.uint8), axis=1):
+    for row in itertools.chain.from_iterable(packed):
         v = int.from_bytes(row.tobytes(), "big")
         while v and (lead := v.bit_length() - 1) in basis:
             v ^= basis[lead]
         if v:
             basis[lead] = v
-            if len(basis) == M.shape[1]:
+            if len(basis) == ncols:
                 break
     done = 0
     for lead in sorted(basis):
@@ -89,9 +93,12 @@ def _rref_gf2(M):
             v, hits = v ^ basis[low], hits ^ 1 << low
         basis[lead], done = v, done | 1 << lead
     leads = sorted(basis, reverse=True)  # pivot columns ascending
-    data = b"".join(basis[lead].to_bytes(width, "big") for lead in leads)
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(len(leads), width), axis=1)
-    return bits[:, : M.shape[1]].astype(np.uint16), tuple(8 * width - 1 - lead for lead in leads)
+    R = np.empty((len(leads), ncols), dtype=np.uint16)
+    for b in range(0, len(leads), step):
+        data = b"".join(basis[lead].to_bytes(width, "big") for lead in leads[b : b + step])
+        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(-1, width), axis=1)
+        R[b : b + step] = bits[:, :ncols]
+    return R, tuple(8 * width - 1 - lead for lead in leads)
 
 
 def add(field, X, Y):

@@ -53,6 +53,8 @@ class NumericalSemigroup:
         # minimal generating system: the nonzero members whose only sums of
         # two members are 0 + s and s + 0
         self.generators = tuple(int(s) for s in np.flatnonzero(self._member[:size] & (self._nu == 2)) if s)
+        for table in (self._member, self._gaps, self._nu):  # a curve's semigroup is shared with its users
+            table.setflags(write=False)
 
     def _sieve(self, bound):
         """Members in [0, bound]: closing {0} under each generator g in turn,

@@ -1,5 +1,6 @@
 """End-to-end CLI coverage: every subcommand, both formats, exit codes."""
 
+import functools
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from castleqec import cli
 from castleqec.agcodes import CodeSequence
+from castleqec.curves import CATALOGUE
 from castleqec.quantum import gv_terms
 from helpers import count_enumerations
 
@@ -407,6 +409,62 @@ def test_deeply_nested_json_exits_2_without_a_traceback(tmp_path, text):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_a_rewritten_curve_file_builds_its_new_content(tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    contents = [
+        CATALOGUE["elliptic-gf4"],
+        {**CATALOGUE["elliptic-gf4"], "tag": "renamed"},
+        CATALOGUE["hermitian-gf9"],
+        {"family": "nope", "params": {}},
+        CATALOGUE["elliptic-gf4"],
+    ]
+    runs = []
+    for obj in contents:
+        path.write_text(json.dumps(obj))
+        runs.append(run_cli(capsys, "build", "--curve-file", str(path), "--m", "3"))
+    rows = [json_rows(out)[0] if code == 0 else None for code, out, _ in runs]
+    assert [(row["curve"], row["n"]) for row in rows[:3]] == [("elliptic-gf4", 8), ("renamed", 8), ("hermitian-gf9", 27)]
+    assert runs[3] == (2, "", "error: unknown curve family 'nope'\n")
+    assert runs[4] == runs[0]
+
+
+DROP = object()
+MUTATIONS = {
+    "dropped": DROP, "null": None, "bool": True, "float": 1.5, "huge int": 1 << 80, "string": "x", "list": [1],
+    "dict": {"a": 1},
+}
+
+
+def _key_paths(obj, prefix=()):
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _mutant(obj, path, value):
+    out = json.loads(json.dumps(obj))
+    *parents, last = path
+    target = functools.reduce(lambda node, key: node[key], parents, out)
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_each_mutated_catalogue_descriptor_builds_alike_twice_in_one_process(tmp_path, capsys, name):
+    # one key dropped or given another JSON type; the second build may reuse what the first one built
+    path = tmp_path / "mutant.json"
+    for key_path in _key_paths(CATALOGUE[name]):
+        for kind, value in MUTATIONS.items():
+            path.write_text(json.dumps(_mutant(CATALOGUE[name], key_path, value)))
+            first, second = (run_cli(capsys, "build", "--curve-file", str(path), "--m", "3") for _ in range(2))
+            assert first == second and first[0] in (0, 2, 3), (key_path, kind, first)
+            assert "Traceback" not in first[2], (key_path, kind)
 
 
 def test_missing_file_exits_2(capsys):

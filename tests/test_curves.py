@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from castleqec import curves
 from castleqec.curves import (
     CATALOGUE,
     EvaluationSet,
@@ -337,3 +338,107 @@ def test_curve_json():
 
     ntq = curve_from_json({"family": "ntq", "params": {"q": 2, "r": 4, "u": 3}})
     assert ntq.genus == 7
+
+
+# -- shared evaluation sets and basis tables ----------------------------------------
+
+
+def _error(obj):
+    """(type name, message) of what evaluation_set_from_json raises on obj, or None."""
+    try:
+        evaluation_set_from_json(obj)
+    except (ValueError, KeyError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def test_one_descriptor_content_gives_one_shared_evaluation_set():
+    obj = CATALOGUE["hermitian-gf9"]
+    ev = evaluation_set_from_json(obj)
+    assert evaluation_set_from_json(json.loads(json.dumps(obj))) is ev  # equal content, other objects
+    reordered = dict(reversed(list(obj.items())))
+    assert evaluation_set_from_json(reordered) is ev
+    retagged = {**obj, "tag": "hermitian-gf9-again"}
+    assert evaluation_set_from_json(retagged) is not ev
+    assert evaluation_set_from_json(retagged).curve.tag == "hermitian-gf9-again"
+
+
+def _variants(obj):
+    """The descriptor with its first parameter (or that list's last entry) as a tuple, a bool and a float.
+    Validation refuses each, though some are == to the valid descriptor (True == 1, 2.0 == 2) and the
+    tuple prints as its list in JSON."""
+    params, name = obj["params"], next(iter(obj["params"]))
+    value = params[name]
+    if isinstance(value, list):
+        changed = {"tuple": tuple(value), "bool": value[:-1] + [bool(value[-1])], "float": value[:-1] + [float(value[-1])]}
+    else:
+        changed = {"tuple": (value,), "bool": bool(value), "float": float(value)}
+    return [(kind, {**obj, "params": {**params, name: v}}) for kind, v in changed.items()]
+
+
+@pytest.mark.parametrize("name", ["hermitian-gf9", "suzuki8", "ntq-2-4-3", "elliptic-gf4"])
+def test_a_malformed_variant_of_a_cached_descriptor_raises_on_every_call(name):
+    obj = CATALOGUE[name]
+    ev = evaluation_set_from_json(obj)
+    for kind, variant in _variants(obj):
+        first = _error(variant)
+        assert first is not None, kind
+        assert _error(variant) == first, kind  # an error is never kept
+        assert evaluation_set_from_json(obj) is ev, kind
+    assert _error({**obj, "params": {**obj["params"], 7: 1}}) is None  # a non-string key: built, not keyed
+    assert _error({**obj, "family": "mystery"}) == _error({**obj, "family": "mystery"}) is not None
+
+
+def test_a_descriptor_holding_itself_bypasses_the_cache():
+    obj = {**CATALOGUE["elliptic-gf4"], "tag": "loop"}
+    obj["self"] = obj
+    ev = evaluation_set_from_json(obj)
+    assert evaluation_set_from_json(obj) is not ev and ev.curve.tag == "loop"
+
+
+def test_the_shared_evaluation_sets_stay_within_their_bound():
+    made = [{**CATALOGUE["elliptic-gf4"], "tag": f"bound-{i}"} for i in range(curves.MEMO_EVALUATION_SETS + 3)]
+    evs = [evaluation_set_from_json(obj) for obj in made]
+    assert len(curves._EVALUATION_SETS) == curves.MEMO_EVALUATION_SETS
+    assert evaluation_set_from_json(made[-1]) is evs[-1]
+    assert evaluation_set_from_json(made[3]) is evs[3]  # kept, and now the most recently used
+    assert evaluation_set_from_json(made[0]) is not evs[0]  # dropped first
+    assert len(curves._EVALUATION_SETS) == curves.MEMO_EVALUATION_SETS
+    assert evaluation_set_from_json(made[3]) is evs[3]  # made[4], the least recently used, went instead
+
+
+def test_shared_arrays_refuse_writes():
+    ev = evaluation_set_from_json(CATALOGUE["suzuki8"])
+    poles, expos = ev.curve.basis_table(ev.dimension_set()[-1], 2)
+    S = ev.curve.semigroup
+    for array in (ev.coords, ev.curve.affine_coords, poles, expos, S._member, S._gaps, S._nu):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    with pytest.raises(TypeError):
+        ev.U[0] = 1
+    ev.dimension_set().append(-1)  # a new list each call
+    assert ev.dimension_set()[-1] == 91
+
+
+SUZUKI32 = ROOT / "tests" / "data" / "suzuki32.json"
+
+
+@pytest.mark.parametrize(
+    "path", CURVE_FILES + sorted(ROOT.glob("tests/data/twisted/*.json")) + [SUZUKI32], ids=lambda p: p.stem
+)
+def test_the_shared_basis_table_matches_an_uncached_curve_at_every_m(path):
+    obj = json.loads(path.read_text())
+    ev = evaluation_set_from_json(obj)
+    fresh = EvaluationSet(curve_from_json(obj), obj.get("fibration"), obj.get("subset"))
+    assert fresh.curve is not ev.curve
+    top, F = ev.dimension_set()[-1], ev.field
+    row_stride = 1 if ev.n < 1000 else 41  # every basis_rows(m) of suzuki32 would evaluate 10^9 entries
+    for power_base in [None, *(q0 for q0 in range(2, F.order) if is_subfield_order(F, q0))]:
+        ev.basis_rows(top, power_base)
+        for m in range(-1, top + 6):
+            fresh.curve._basis_tables.clear()  # the fresh curve builds its table to m alone
+            assert ev.curve.basis_exponents(m, power_base) == fresh.curve.basis_exponents(m, power_base), m
+            if m % row_stride == 0 or m >= top:
+                fresh.curve._basis_tables.clear()
+                (poles, rows), (want_poles, want_rows) = ev.basis_rows(m, power_base), fresh.basis_rows(m, power_base)
+                assert poles == want_poles and rows.shape == want_rows.shape and (rows == want_rows).all(), m

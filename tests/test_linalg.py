@@ -174,13 +174,29 @@ def test_gf2_elimination_of_empty_shapes_matches_generic_path(k, n):
         R, pivots = rref(F, M, n)
         K = kernel_basis(F, M, n)
         code = LinearCode(F, n, M)
-        found.append((R, pivots, K, code.matrix, code.pivots))
+        dual, double = code.dual(), code.dual().dual()  # a length-0 code has no axis for its pivots
+        found.append((R, pivots, K, code.matrix, code.pivots, dual.matrix, dual.pivots, double.matrix, double.pivots))
     for a, b in zip(*found):
         if isinstance(a, tuple):
-            assert a == b == ()
+            assert a == b and all(type(c) is int for c in a)
         else:
             assert a.dtype == b.dtype == np.uint16 and a.shape == b.shape and (a == b).all()
     assert found[0][0].shape == (0, n) and found[0][2].shape == (n, n)
+    assert found[0][4] == found[0][8] == () and found[0][6] == tuple(range(n))
+    assert found[0][5].shape == (n, n) and found[0][7].shape == (0, n)
+
+
+@pytest.mark.parametrize("n", [1, 9, 64, 130])
+def test_gf2_elimination_in_row_blocks_matches_one_block(monkeypatch, n):
+    rng = random.Random(3 * n)
+    full = np.eye(n, dtype=np.uint16)[::-1]
+    cases = [*kernel_cases(rng, 2, n), random_matrix(rng, 2, n + 9, n), np.vstack([full, random_matrix(rng, 2, 5, n)])]
+    whole = [rref(GF(2), M, n) for M in cases]
+    for block in (1, 3 * n):  # rows packed and unpacked one at a time, or three at a time
+        monkeypatch.setattr(linalg, "_BLOCK", block)
+        for M, (R, pivots) in zip(cases, whole):
+            got, got_pivots = rref(GF(2), M, n)
+            assert got_pivots == pivots and got.dtype == R.dtype and got.shape == R.shape and (got == R).all()
 
 
 MATMUL_FIELDS = [2, 3, 4, 5, 8, 9, 16, 25, 27, 32, 64, 81, 243, 1021, 1024]

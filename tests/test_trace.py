@@ -4,14 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from castleqec import linalg
+from castleqec import fields, linalg
 from castleqec.agcodes import (
     OnePointCode,
     incomplete_trace_search,
     trace_code,
     trace_rows,
 )
-from castleqec.curves import curve_from_json, evaluation_set_from_json
+from castleqec.curves import CATALOGUE, curve_from_json, evaluation_set_from_json
 from castleqec.fields import GF, embedding
 from helpers import elliptic_gf4, evset, hermitian_gf9, hermitian_gf16, suzuki8
 
@@ -166,3 +166,29 @@ def test_trace_rows_eliminate_alike_on_the_packed_and_table_paths(path):
             R4, p4 = linalg.rref(GF(4), binary, n)
             assert p2 == p4 and R2.shape == R4.shape and (R2 == R4).all(), (small, m)
         assert len(binary) > n  # at the top of the dimension set the rows outnumber n
+
+
+@pytest.mark.parametrize("block", [1, 200, None], ids=["row", "200", "default"])
+def test_trace_rows_in_row_blocks_match_row_by_row_traces(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(fields, "_BLOCK", block)  # entries scaled at once: one row of M, or a few
+    for path in CURVE_FILES:
+        ev = evaluation_set_from_json(json.loads(path.read_text()))
+        F = ev.field
+        _, M = ev.basis_rows(ev.dimension_set()[-1])
+        for small in (GF(F.p ** j) for j in range(1, F.k) if F.k % j == 0):
+            emb = embedding(small, F)
+            want = [emb.trace_vec(F.mul_table[F.exp[j], g]) for g in M for j in range(emb.ratio)]
+            got = emb.trace_rows(M)
+            assert got.dtype == np.uint16 and (got == np.array(want)).all(), (path.stem, small)
+
+
+def test_the_trace_rows_of_a_64_point_curve_are_traced_at_once(monkeypatch):
+    calls, original = [], fields.Embedding.trace_vec
+    monkeypatch.setattr(fields.Embedding, "trace_vec", lambda emb, arr: calls.append(arr.shape) or original(emb, arr))
+    for name in ("suzuki8", "hermitian-gf16"):
+        ev = evaluation_set_from_json(CATALOGUE[name])
+        for m in ev.dimension_set():
+            calls.clear()
+            rows, _ = trace_rows(ev, m, GF(2))
+            assert len(calls) == (len(rows) > 1), (name, m)
