@@ -12,7 +12,7 @@ import json
 import sys
 
 from .agcodes import CodeSequence, OnePointCode, certify_duality, report_fields, trace_code
-from .curves import evaluation_set_from_json
+from .curves import evaluation_set_from_text
 from .fields import GF, UnsupportedFieldError, prime_power
 from .quantum import gv_status, gv_terms, scan_sequence
 from . import repro
@@ -83,11 +83,8 @@ def quantum_row(params):
 
 def _load_eval_set(path):
     with open(path) as handle:
-        try:
-            obj = json.load(handle)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-    return evaluation_set_from_json(obj)
+        text = handle.read()
+    return evaluation_set_from_text(text, path)
 
 
 def cmd_build(args):

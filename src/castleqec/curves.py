@@ -28,7 +28,7 @@ from .fields import GF, MAX_ORDER, UnsupportedFieldError, field_from_json, json_
 from .semigroups import NumericalSemigroup, accumulate_classes
 
 MEMO_EVALUATION_SETS = 16  # evaluation sets kept, least recently used dropped first
-_EVALUATION_SETS = collections.OrderedDict()  # content key of a descriptor -> its EvaluationSet
+_EVALUATION_SETS = collections.OrderedDict()  # descriptor text -> its EvaluationSet
 
 
 class PointedCurve:
@@ -411,52 +411,32 @@ def curve_from_json(obj):
 
 
 def evaluation_set_from_json(obj):
-    """Curve descriptor plus optional "fibration" and "subset" keys.
+    """Curve descriptor plus optional "fibration" and "subset" keys."""
+    curve = curve_from_json(obj)
+    subset = None if obj.get("subset") is None else json_ints(obj["subset"], "subset")
+    return EvaluationSet(curve, fibration=obj.get("fibration"), subset=subset)
 
-    Evaluation sets are shared within a process: a descriptor with the
-    content of one of the last MEMO_EVALUATION_SETS built gets that same
-    object back, with its curve, semigroup and basis tables.  So nothing
-    may write to them, and their arrays are read-only.  An error is raised
-    anew on every call: only built sets are kept.
+
+def evaluation_set_from_text(text, source="descriptor"):
+    """The evaluation set of a descriptor given as JSON text, shared within a process.
+
+    The last MEMO_EVALUATION_SETS sets built are kept, keyed by the text
+    itself, so the same text gets the same object back, with its curve,
+    semigroup and basis tables.  Nothing may write to it: its arrays are
+    read-only.  Only built sets are kept; an error is raised anew on every
+    call.  The sharing pays only when one process loads a curve twice.
     """
-    key = _content_key(obj)
-    ev = None if key is None else _EVALUATION_SETS.pop(key, None)
+    ev = _EVALUATION_SETS.pop(text, None)
     if ev is None:
-        curve = curve_from_json(obj)
-        subset = None if obj.get("subset") is None else json_ints(obj["subset"], "subset")
-        ev = EvaluationSet(curve, fibration=obj.get("fibration"), subset=subset)
-    if key is not None:
-        _EVALUATION_SETS[key] = ev  # the most recently used last
-        while len(_EVALUATION_SETS) > MEMO_EVALUATION_SETS:
-            _EVALUATION_SETS.popitem(last=False)
+        try:
+            obj = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"{source} is not valid JSON: {exc}") from exc
+        ev = evaluation_set_from_json(obj)
+    _EVALUATION_SETS[text] = ev  # the most recently used last
+    while len(_EVALUATION_SETS) > MEMO_EVALUATION_SETS:
+        _EVALUATION_SETS.popitem(last=False)
     return ev
-
-
-_JSON_SCALARS = (str, int, float, bool, type(None))
-
-
-def _content_key(obj):
-    """The descriptor as canonical JSON text, or None to bypass the cache.
-
-    The text tells true, 1 and 1.0 apart, as descriptor validation does.  It
-    would print a tuple as a list and an integer key as a string, so only
-    the types json.load makes are keyed: dicts with string keys, lists and
-    scalars, with no container met twice.
-    """
-    seen, stack = set(), [obj]
-    while stack:
-        value = stack.pop()
-        if type(value) is dict or type(value) is list:
-            if id(value) in seen or (type(value) is dict and not all(type(k) is str for k in value)):
-                return None
-            seen.add(id(value))
-            stack.extend(value.values() if type(value) is dict else value)
-        elif type(value) not in _JSON_SCALARS:
-            return None
-    try:
-        return json.dumps(obj, sort_keys=True)
-    except (RecursionError, ValueError):  # nested too deep, or an integer too long to print
-        return None
 
 
 # -- the named curves -----------------------------------------------------------------

@@ -11,6 +11,7 @@ from castleqec.curves import (
     EvaluationSet,
     curve_from_json,
     evaluation_set_from_json,
+    evaluation_set_from_text,
     hyperelliptic_even,
     hyperelliptic_odd,
     norm_trace_quotient,
@@ -343,72 +344,55 @@ def test_curve_json():
 # -- shared evaluation sets and basis tables ----------------------------------------
 
 
-def _error(obj):
-    """(type name, message) of what evaluation_set_from_json raises on obj, or None."""
+def _error(text):
+    """(type name, message) of what evaluation_set_from_text raises on text, or None."""
     try:
-        evaluation_set_from_json(obj)
+        evaluation_set_from_text(text)
     except (ValueError, KeyError, TypeError) as exc:
         return type(exc).__name__, str(exc)
     return None
 
 
-def test_one_descriptor_content_gives_one_shared_evaluation_set():
-    obj = CATALOGUE["hermitian-gf9"]
-    ev = evaluation_set_from_json(obj)
-    assert evaluation_set_from_json(json.loads(json.dumps(obj))) is ev  # equal content, other objects
-    reordered = dict(reversed(list(obj.items())))
-    assert evaluation_set_from_json(reordered) is ev
-    retagged = {**obj, "tag": "hermitian-gf9-again"}
-    assert evaluation_set_from_json(retagged) is not ev
-    assert evaluation_set_from_json(retagged).curve.tag == "hermitian-gf9-again"
-
-
-def _variants(obj):
-    """The descriptor with its first parameter (or that list's last entry) as a tuple, a bool and a float.
-    Validation refuses each, though some are == to the valid descriptor (True == 1, 2.0 == 2) and the
-    tuple prints as its list in JSON."""
-    params, name = obj["params"], next(iter(obj["params"]))
-    value = params[name]
-    if isinstance(value, list):
-        changed = {"tuple": tuple(value), "bool": value[:-1] + [bool(value[-1])], "float": value[:-1] + [float(value[-1])]}
-    else:
-        changed = {"tuple": (value,), "bool": bool(value), "float": float(value)}
-    return [(kind, {**obj, "params": {**params, name: v}}) for kind, v in changed.items()]
+def test_one_descriptor_text_gives_one_shared_evaluation_set():
+    text = json.dumps(CATALOGUE["hermitian-gf9"])
+    ev = evaluation_set_from_text(text)
+    assert evaluation_set_from_text("".join(text)) is ev  # the same text, another string
+    assert evaluation_set_from_text(text + "\n") is not ev  # other text builds its own set
+    retagged = evaluation_set_from_text(json.dumps({**CATALOGUE["hermitian-gf9"], "tag": "hermitian-gf9-again"}))
+    assert retagged is not ev and retagged.curve.tag == "hermitian-gf9-again"
+    assert evaluation_set_from_json(CATALOGUE["hermitian-gf9"]) is not ev  # a parsed descriptor is built anew
 
 
 @pytest.mark.parametrize("name", ["hermitian-gf9", "suzuki8", "ntq-2-4-3", "elliptic-gf4"])
 def test_a_malformed_variant_of_a_cached_descriptor_raises_on_every_call(name):
     obj = CATALOGUE[name]
-    ev = evaluation_set_from_json(obj)
-    for kind, variant in _variants(obj):
-        first = _error(variant)
-        assert first is not None, kind
-        assert _error(variant) == first, kind  # an error is never kept
-        assert evaluation_set_from_json(obj) is ev, kind
-    assert _error({**obj, "params": {**obj["params"], 7: 1}}) is None  # a non-string key: built, not keyed
-    assert _error({**obj, "family": "mystery"}) == _error({**obj, "family": "mystery"}) is not None
-
-
-def test_a_descriptor_holding_itself_bypasses_the_cache():
-    obj = {**CATALOGUE["elliptic-gf4"], "tag": "loop"}
-    obj["self"] = obj
-    ev = evaluation_set_from_json(obj)
-    assert evaluation_set_from_json(obj) is not ev and ev.curve.tag == "loop"
+    ev = evaluation_set_from_text(json.dumps(obj))
+    params, key = obj["params"], next(iter(obj["params"]))
+    value = params[key]  # its last entry, if a list, as a bool and a float: true and 1.0 where 1 is valid
+    if isinstance(value, list):
+        variants = [value[:-1] + [bool(value[-1])], value[:-1] + [float(value[-1])]]
+    else:
+        variants = [bool(value), float(value)]
+    for text in [json.dumps({**obj, "params": {**params, key: v}}) for v in variants] + [json.dumps(obj)[:-1]]:
+        first = _error(text)
+        assert first is not None and _error(text) == first, text  # an error is never kept
+        assert evaluation_set_from_text(json.dumps(obj)) is ev, text
+    assert first[1].startswith("descriptor is not valid JSON: ")
 
 
 def test_the_shared_evaluation_sets_stay_within_their_bound():
-    made = [{**CATALOGUE["elliptic-gf4"], "tag": f"bound-{i}"} for i in range(curves.MEMO_EVALUATION_SETS + 3)]
-    evs = [evaluation_set_from_json(obj) for obj in made]
+    made = [json.dumps({**CATALOGUE["elliptic-gf4"], "tag": f"bound-{i}"}) for i in range(curves.MEMO_EVALUATION_SETS + 3)]
+    evs = [evaluation_set_from_text(text) for text in made]
     assert len(curves._EVALUATION_SETS) == curves.MEMO_EVALUATION_SETS
-    assert evaluation_set_from_json(made[-1]) is evs[-1]
-    assert evaluation_set_from_json(made[3]) is evs[3]  # kept, and now the most recently used
-    assert evaluation_set_from_json(made[0]) is not evs[0]  # dropped first
+    assert evaluation_set_from_text(made[-1]) is evs[-1]
+    assert evaluation_set_from_text(made[3]) is evs[3]  # kept, and now the most recently used
+    assert evaluation_set_from_text(made[0]) is not evs[0]  # dropped first
     assert len(curves._EVALUATION_SETS) == curves.MEMO_EVALUATION_SETS
-    assert evaluation_set_from_json(made[3]) is evs[3]  # made[4], the least recently used, went instead
+    assert evaluation_set_from_text(made[3]) is evs[3]  # made[4], the least recently used, went instead
 
 
 def test_shared_arrays_refuse_writes():
-    ev = evaluation_set_from_json(CATALOGUE["suzuki8"])
+    ev = evaluation_set_from_text(json.dumps(CATALOGUE["suzuki8"]))
     poles, expos = ev.curve.basis_table(ev.dimension_set()[-1], 2)
     S = ev.curve.semigroup
     for array in (ev.coords, ev.curve.affine_coords, poles, expos, S._member, S._gaps, S._nu):

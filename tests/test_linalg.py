@@ -182,7 +182,7 @@ def test_gf2_elimination_of_empty_shapes_matches_generic_path(k, n):
         else:
             assert a.dtype == b.dtype == np.uint16 and a.shape == b.shape and (a == b).all()
     assert found[0][0].shape == (0, n) and found[0][2].shape == (n, n)
-    assert found[0][4] == found[0][8] == () and found[0][6] == tuple(range(n))
+    assert found[0][1] == found[0][4] == found[0][8] == () and found[0][6] == tuple(range(n))
     assert found[0][5].shape == (n, n) and found[0][7].shape == (0, n)
 
 
