@@ -223,7 +223,7 @@ def certify_duality(evset):
     L(m^perp Q) lie in L(top Q), so x * C(mQ) is orthogonal to C(m^perp Q).
     An all-ones x is exact self-duality.  L(top Q) has the basis phi^a M_r,
     a v + w_r <= top, for the fibration phi of pole order v and the Apery
-    monomials M_r (PointedCurve.apery_basis), and phi is U_u on fiber u: so
+    monomials M_r (EvaluationSet.apery_basis), and phi is U_u on fiber u: so
     sum_j x_j phi^a M_r(P_j) = (T V^T)[r, a], with T[r, u] the sum of x M_r
     over fiber u (EvaluationSet.fiber_sums), V[a, u] = U_u^a: v rows in all.
     """
@@ -240,7 +240,7 @@ def certify_duality(evset):
     if x is None:
         return DualityCertificate("unverified", reason=f"the curve records no side for fibration {evset.fibration}")
     F, v, U = evset.field, evset.fiber_size, np.array(evset.U)
-    w, expos = zip(*evset.curve.apery_basis(evset.fibration_index))
+    w, expos = zip(*evset.apery_basis())
     block = max(1, (1 << 22) // (8 * n))  # rows whose int64 exponent products take 4 MB
     Y = np.concatenate([F.mul_table[evset.monomial_rows(expos[b : b + block]), x] for b in range(0, v, block)])
     a = np.arange(top // v + 1)

@@ -122,12 +122,6 @@ class PointedCurve:
         expos.setflags(write=False)
         return m, nongaps, expos
 
-    def apery_basis(self, j):
-        """[(w_r, exponents of M_r)] over the classes r mod v = pole_orders[j], w_r the least nongap
-        in class r, ascending.  w_r - v is a gap, so M_r is free of generator j."""
-        S, v = self.semigroup, self.pole_orders[j]  # every w_r - v is a gap, so w_r < c + v
-        return [(s, e) for s, e in self.basis_exponents(S.conductor + v - 1) if not S.contains(s - v)]
-
     def __repr__(self):
         return f"<curve {self.tag}: genus {self.genus} over {self.field!r}, {self.num_rational_points} points>"
 
@@ -310,6 +304,17 @@ class EvaluationSet:
         if self._dimension_set is None:
             self._dimension_set = tuple(self.curve.semigroup.dimension_set(self.n))
         return list(self._dimension_set)
+
+    def apery_basis(self):
+        """[(w_r, exponents of M_r)] over the classes r mod v = fiber_size, w_r the least nongap
+        in class r, ascending.  w_r - v is a gap, so M_r is free of the fibration.  v divides n, so
+        n + S lies in v + S and the w_r, S minus (v + S), lie in the dimension set S minus (n + S):
+        they are read from the curve's table to its last jump, which CodeSequence reads too."""
+        S, v = self.curve.semigroup, self.fiber_size
+        poles, expos = self.curve.basis_table(self.dimension_set()[-1])
+        end = np.searchsorted(poles, S.conductor + v - 1, side="right")  # every w_r - v is a gap, so w_r < c + v
+        rows = zip(poles[:end].tolist(), map(tuple, expos[:end].tolist()))
+        return [(s, e) for s, e in rows if not S.contains(s - v)]
 
     def basis_rows(self, m, power_base=None):
         """(pole orders, evaluation matrix) for the monomial basis of L(mQ).

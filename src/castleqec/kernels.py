@@ -3,16 +3,20 @@
 For q > 2 only coefficient vectors whose first nonzero entry is 1 are
 visited, since nonzero scalars keep weights; those with leading index i form
 the coset G[i] + span(G[i+1:]).  The trailing rows are expanded once into a
-column-major block of at most 2^16 words and 2^22 entries (n x words), so
-its memory is bounded for any n, and an odometer over the rows between i
+column-major block (n x words), and an odometer over the rows between i
 and the block shifts the whole block by one partial sum at a time.  The
 shifted words are never formed: block + partial is zero exactly where
-block == -partial, so a tally counts each word's zeros by comparison.  For
-q = 2 the rows are packed into uint64 limbs, the leading rows are walked in
-Gray-code order with one XOR per step, and weights are popcounts.  If the
-rows sum to the all-ones word, which for an echelon form means 1 is in the
-code, flipping every coefficient maps w to w + 1, of weight n - wt(w): only
-the 2^(k-1) words of the rows after the first are walked.
+block == -partial, so a tally counts each word's zeros by comparison.  A
+block entry costs about ten times as much to build (an add-table gather and
+a copy) as to count, so the block grows only while it stays within 2^18
+entries, enough for one count pass to outweigh the odometer's Python step.
+It always holds at least q words, so a long code never counts one word a
+pass: it takes at most max(2^18, q n) entries.  For q = 2 the rows are
+packed into uint64 limbs, the leading rows are walked in Gray-code order
+with one XOR per step, and weights are popcounts.  If the rows sum to the
+all-ones word, which for an echelon form means 1 is in the code, flipping
+every coefficient maps w to w + 1, of weight n - wt(w): only the 2^(k-1)
+words of the rows after the first are walked.
 """
 
 import itertools
@@ -22,7 +26,7 @@ import numpy as np
 from . import linalg
 
 BACKEND = "python"  # the only backend; benchmark records name it
-_BLOCK_WORDS, _BLOCK_ENTRIES = 1 << 16, 1 << 22  # caps on the q > 2 block: its columns, and n times them
+_BLOCK_ENTRIES = 1 << 18  # cap on the q > 2 block's n x words entries, above its one-level floor
 
 
 def enumerate_weights(field, G):
@@ -40,19 +44,15 @@ def _projective_weights(field, G):
     q, (k, n) = field.order, G.shape
     multiples = field.mul_table[np.arange(q)[None, :, None], G[:, None, :]]  # s * G[i]
     kb = 0
-    while kb < k and q ** (kb + 1) <= _BLOCK_WORDS and q ** (kb + 1) * n <= _BLOCK_ENTRIES:
+    while kb < k and (kb == 0 or q ** (kb + 1) * n <= _BLOCK_ENTRIES):  # kb >= 1: a pass counts q words or more
         kb += 1
     k_pre = k - kb
     counter = np.uint8 if n < 256 else np.uint16  # holds any zero count up to n
     zeros = np.zeros(n + 1, dtype=np.int64)  # zeros[z]: tallied words with z zero entries
     block = np.zeros((n, 1), dtype=np.uint16)  # span(G[i+1:]) as columns, as i walks down
 
-    def zero_counts(partial):  # of the words block + partial, over the current block
-        hits = (block == field.neg_table[partial][:, None]).view(np.uint8)
-        return np.bincount(hits.sum(axis=0, dtype=counter), minlength=n + 1)
-
     for i in range(k - 1, k_pre - 1, -1):
-        zeros += zero_counts(G[i])
+        zeros += _zero_counts(block, field.neg_table[G[i]], counter)
         if i:
             block = np.concatenate([linalg.add(field, block, m[:, None]) for m in multiples[i]], axis=1)
     for i in range(k_pre):
@@ -60,10 +60,16 @@ def _projective_weights(field, G):
             partial = G[i]
             for j, s in enumerate(digits, start=i + 1):
                 partial = linalg.add(field, partial, multiples[j, s])
-            zeros += zero_counts(partial)
+            zeros += _zero_counts(block, field.neg_table[partial], counter)
     counts = zeros[::-1] * (q - 1)
     counts[0] += 1  # the zero vector
     return counts
+
+
+def _zero_counts(block, negated, counter):
+    """One count pass: zeros[z] is the number of words block + partial with z zero entries, negated = -partial."""
+    hits = (block == negated[:, None]).view(np.uint8)
+    return np.bincount(hits.sum(axis=0, dtype=counter), minlength=len(block) + 1)
 
 
 def _binary_weights(G):

@@ -1,5 +1,6 @@
 """End-to-end CLI coverage: every subcommand, both formats, exit codes."""
 
+import collections
 import functools
 import json
 import subprocess
@@ -8,13 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from castleqec import cli
+from castleqec import cli, curves
 from castleqec.agcodes import CodeSequence
 from castleqec.curves import CATALOGUE
 from castleqec.quantum import gv_terms
 from helpers import count_enumerations
 
-CURVES = Path(__file__).resolve().parent.parent / "curves"
+ROOT = Path(__file__).resolve().parent.parent
+CURVES = ROOT / "curves"
 SUZUKI = str(CURVES / "suzuki8.json")
 ELLIPTIC4 = str(CURVES / "elliptic-gf4.json")
 HERMITIAN9 = str(CURVES / "hermitian-gf9.json")
@@ -274,6 +276,21 @@ def test_scan_construction_c_enumerates_each_code_once(capsys, monkeypatch):
     assert code == 0 and len(json_rows(out)) == 7
     # one enumeration per level: the partner's weights are the MacWilliams transform of C_i's
     assert seen == [(i, 64) for i in range(1, 7)]
+
+
+@pytest.mark.parametrize(
+    "path", [ROOT / "tests" / "data" / "hermitian256.json", ROOT / "perfbench" / "curves" / "maximal-gf81.json"],
+    ids=lambda p: p.stem,
+)
+def test_a_certified_scan_builds_the_basis_table_once(path, capsys, monkeypatch):
+    # the duality certificate's Apery rows and the code sequence read one table, to the last dimension jump
+    monkeypatch.setattr(curves, "_EVALUATION_SETS", collections.OrderedDict())  # the curve is built anew
+    original, built = curves.PointedCurve._build_basis_table, []
+    monkeypatch.setattr(curves.PointedCurve, "_build_basis_table", lambda c, m, b: built.append(m) or original(c, m, b))
+    code, out, _ = run_cli(capsys, "scan", "--curve-file", str(path), "--construction", "C", "--max-i", "5")
+    assert code == 0 and len(json_rows(out)) == 6
+    ev = curves.evaluation_set_from_text(path.read_text())
+    assert built == [ev.dimension_set()[-1]]
 
 
 def test_scan_hermitian_tests_each_containment_once(capsys, monkeypatch):

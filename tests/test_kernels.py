@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,10 +130,42 @@ def test_binary_gray_walk_over_two_limbs_matches_oracle():
 
 
 @pytest.mark.parametrize("q, k, n", [(4, 9, 14), (3, 12, 8), (5, 8, 20), (4, 9, 70)])
-def test_odometer_past_the_block_matches_oracle(q, k, n):
-    # q^k above the 2^16-word block, so leading cosets run the odometer
-    rng = random.Random(42)
-    assert_matches_oracle(GF(q), random_generator(rng, q, k, n))
+def test_odometer_past_the_block_matches_oracle(q, k, n, monkeypatch):
+    # q^k n above the 2^18-entry block, so leading cosets run the odometer; then, with
+    # the cap below q n, only the one-level floor holds and every partial meets q words
+    F, G = GF(q), random_generator(random.Random(42), q, k, n)
+    want = oracle(F, G).tolist()
+    assert enumerate_weights(F, G).tolist() == want
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", q * n - 1)
+    assert enumerate_weights(F, G).tolist() == want
+
+
+def test_the_block_rule_sets_the_count_passes_and_the_peak_memory(monkeypatch):
+    widths, original = [], kernels._zero_counts
+
+    def spy(block, negated, counter):
+        widths.append(block.shape[1])
+        return original(block, negated, counter)
+
+    monkeypatch.setattr(kernels, "_zero_counts", spy)
+    q, k, n = 4, 5, 10
+    F, G = GF(q), random_generator(random.Random(3), q, k, n)
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", q * n - 1)
+    assert enumerate_weights(F, G).tolist() == oracle(F, G).tolist()
+    # the last row meets the empty span, then k - 1 odometer rows walk (q^(k-1) - 1)/(q - 1) partials
+    assert widths == [1] + [q] * ((q ** (k - 1) - 1) // (q - 1))
+
+    monkeypatch.undo()
+    bound = 2 << 20  # bytes: 8 an entry of a 2^18-entry block, twice what its q pieces and their concatenation hold
+    for q, k, n in [(8, 6, 64), (9, 7, 15)]:
+        F, G = GF(q), random_generator(random.Random(q), q, k, n)
+        tracemalloc.start()
+        try:
+            enumerate_weights(F, G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (q, k, n, peak)
 
 
 @pytest.mark.parametrize("q", [3, 4])
