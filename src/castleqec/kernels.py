@@ -6,17 +6,19 @@ the coset G[i] + span(G[i+1:]).  The trailing rows are expanded once into a
 column-major block (n x words), and an odometer over the rows between i
 and the block shifts the whole block by one partial sum at a time.  The
 shifted words are never formed: block + partial is zero exactly where
-block == -partial, so a tally counts each word's zeros by comparison.  A
-block entry costs about ten times as much to build (an add-table gather and
-a copy) as to count, so the block grows only while it stays within 2^18
-entries, enough for one count pass to outweigh the odometer's Python step.
-It always holds at least q words, so a long code never counts one word a
-pass: it takes at most max(2^18, q n) entries.  For q = 2 the rows are
-packed into uint64 limbs, the leading rows are walked in Gray-code order
-with one XOR per step, and weights are popcounts.  If the rows sum to the
-all-ones word, which for an echelon form means 1 is in the code, flipping
-every coefficient maps w to w + 1, of weight n - wt(w): only the 2^(k-1)
-words of the rows after the first are walked.
+block == -partial, so a tally counts each word's zeros by comparison.  The
+block grows a level, q times the words, only while that level costs less
+to build than the odometer steps it saves: its n q^(kb+1) entries cost an
+add-table gather and a copy each, and it saves q^(k-kb-1) steps, each a
+Python loop turn worth about 2^13 built entries.  It also stays within
+2^20 entries (caps of 2^19 and 2^21 measured slower), and always holds at
+least q words, so a long code never counts one word a pass: it takes at
+most max(2^20, q n) entries.  For q = 2 the rows are packed into uint64
+limbs, the leading rows are walked in Gray-code order with one XOR per
+step, and weights are popcounts.  If the rows sum to the all-ones word,
+which for an echelon form means 1 is in the code, flipping every
+coefficient maps w to w + 1, of weight n - wt(w): only the 2^(k-1) words
+of the rows after the first are walked.
 """
 
 import itertools
@@ -26,7 +28,8 @@ import numpy as np
 from . import linalg
 
 BACKEND = "python"  # the only backend; benchmark records name it
-_BLOCK_ENTRIES = 1 << 18  # cap on the q > 2 block's n x words entries, above its one-level floor
+_BLOCK_ENTRIES = 1 << 20  # cap on the q > 2 block's n x words entries, above its one-level floor
+_STEP_ENTRIES = 1 << 13  # block entries that cost as much to build as one odometer step
 
 
 def enumerate_weights(field, G):
@@ -43,8 +46,8 @@ def enumerate_weights(field, G):
 def _projective_weights(field, G):
     q, (k, n) = field.order, G.shape
     multiples = field.mul_table[np.arange(q)[None, :, None], G[:, None, :]]  # s * G[i]
-    kb = 0
-    while kb < k and (kb == 0 or q ** (kb + 1) * n <= _BLOCK_ENTRIES):  # kb >= 1: a pass counts q words or more
+    kb = min(k, 1)  # a pass counts at least q words
+    while kb < k and q ** (kb + 1) * n <= min(_BLOCK_ENTRIES, q ** (k - kb - 1) * _STEP_ENTRIES):
         kb += 1
     k_pre = k - kb
     counter = np.uint8 if n < 256 else np.uint16  # holds any zero count up to n

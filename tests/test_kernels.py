@@ -40,10 +40,10 @@ def summing_to_ones(G):
     return G
 
 
-def assert_matches_oracle(F, G):
+def assert_matches_oracle(F, G, expected=None):
     counts = enumerate_weights(F, G)
     assert counts.dtype == np.int64
-    assert counts.tolist() == oracle(F, G).tolist()
+    assert counts.tolist() == (oracle(F, G) if expected is None else expected).tolist()
     assert int(counts.sum()) == F.order ** G.shape[0]
 
 
@@ -131,13 +131,15 @@ def test_binary_gray_walk_over_two_limbs_matches_oracle():
 
 @pytest.mark.parametrize("q, k, n", [(4, 9, 14), (3, 12, 8), (5, 8, 20), (4, 9, 70)])
 def test_odometer_past_the_block_matches_oracle(q, k, n, monkeypatch):
-    # q^k n above the 2^18-entry block, so leading cosets run the odometer; then, with
-    # the cap below q n, only the one-level floor holds and every partial meets q words
+    # q^k words, more than the block holds, so leading cosets run the odometer; then, with the
+    # cap at n, one word, only the one-level floor makes every partial meet q words, in
+    # (q^(k-1) - 1)/(q - 1) passes: rerun where those are few
     F, G = GF(q), random_generator(random.Random(42), q, k, n)
-    want = oracle(F, G).tolist()
-    assert enumerate_weights(F, G).tolist() == want
-    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", q * n - 1)
-    assert enumerate_weights(F, G).tolist() == want
+    expected = oracle(F, G)
+    assert_matches_oracle(F, G, expected)
+    if (q ** (k - 1) - 1) // (q - 1) < 1 << 15:
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", n)
+        assert_matches_oracle(F, G, expected)
 
 
 def test_the_block_rule_sets_the_count_passes_and_the_peak_memory(monkeypatch):
@@ -150,14 +152,27 @@ def test_the_block_rule_sets_the_count_passes_and_the_peak_memory(monkeypatch):
     monkeypatch.setattr(kernels, "_zero_counts", spy)
     q, k, n = 4, 5, 10
     F, G = GF(q), random_generator(random.Random(3), q, k, n)
-    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", q * n - 1)
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", n)
     assert enumerate_weights(F, G).tolist() == oracle(F, G).tolist()
     # the last row meets the empty span, then k - 1 odometer rows walk (q^(k-1) - 1)/(q - 1) partials
     assert widths == [1] + [q] * ((q ** (k - 1) - 1) // (q - 1))
 
+    # GF(64) [256, 4]: the 2^20 entries of 64^2 words cost less to build than the 4,096 steps they
+    # save, so the odometer makes 65 passes, not 4,161; in [256, 3] they would save only 64 steps
+    monkeypatch.undo()
+    monkeypatch.setattr(kernels, "_zero_counts", spy)
+    q, n = 64, 256
+    for k, passes in [(4, [1, q] + [q * q] * (q + 1)), (3, [1] + [q] * (q + 1))]:
+        widths.clear()
+        F, G = GF(q), random_generator(random.Random(k), q, k, n)
+        assert int(enumerate_weights(F, G).sum()) == q**k
+        assert widths == passes, k
+
     monkeypatch.undo()
     bound = 2 << 20  # bytes: 8 an entry of a 2^18-entry block, twice what its q pieces and their concatenation hold
-    for q, k, n in [(8, 6, 64), (9, 7, 15)]:
+    # (each shape takes a level of at most 2^18 entries: GF(9) [15, 7] 9^4 * 15, GF(8) [64, 6] and
+    # [64, 8] 2^18, where the 2^20-entry cap, not the cost of building, stops [64, 8] below 2^21)
+    for q, k, n in [(8, 6, 64), (9, 7, 15), (8, 8, 64)]:
         F, G = GF(q), random_generator(random.Random(q), q, k, n)
         tracemalloc.start()
         try:
