@@ -273,30 +273,98 @@ def dual_distance_bound(evset, m, cert):
 # -- trace descent -----------------------------------------------------------------
 
 
-def trace_rows(evset, m, small):
-    """Spanning rows of the descended code: 1 together with Tr(alpha^j f).
+class TraceTable:
+    """The trace rows of one evaluation set over one subfield, shared by every m.
 
-    f runs over the nonconstant monomial basis of L(mQ) that are not q0-th
-    powers of smaller basis functions (their traces repeat), and alpha^j over
-    a basis of the big field over the small one.  Row 0 is the all-ones row;
-    blocks lists (pole order, its ratio-many row indices), function by function.
+    The rows are the all-ones row, then Tr(alpha^j f) for alpha^j over a
+    basis of the big field over the small one and f over the nonconstant
+    monomial basis functions that are not q0-th powers of smaller basis
+    functions (their traces repeat), in pole order; poles holds the pole of
+    each f.  The table covers the poles up to top.  A row depends on its
+    pole, never on m (see PointedCurve.basis_table), so every m takes a
+    prefix, and a larger m replaces the table by one that evaluates only the
+    new poles.  rows is read-only; over GF(2) it holds the rows packed
+    (linalg.GF2Echelon.pack), an eighth of the bytes, and echelon is their
+    GF2Echelon, extended only as far as a code has asked for: its entries
+    from a prefix are that prefix's echelon.
+    One table per (evaluation set, subfield): EvaluationSet.trace_tables.
     """
-    emb = embedding(small, evset.field)
-    q0, r = small.order, emb.ratio
-    S = evset.curve.semigroup
-    poles, rows = evset.basis_rows(m, power_base=q0)  # capped where the code stabilizes
-    keep = [i for i, rho in enumerate(poles) if rho and not (rho % q0 == 0 and S.contains(rho // q0))]
-    out = np.empty((1 + len(keep) * r, evset.n), dtype=np.uint16)
-    out[0] = 1
-    emb.trace_rows(rows[keep], out=out[1:])
-    blocks = [(0, [0])] + [(poles[i], list(range(1 + t * r, 1 + (t + 1) * r))) for t, i in enumerate(keep)]
-    return out, blocks
+
+    def __init__(self, evset, small):
+        self.evset, self.small = evset, small
+        self.emb = embedding(small, evset.field)
+        self.top = -1
+        self.poles = np.zeros(0, dtype=np.int64)
+        self.echelon = linalg.GF2Echelon(evset.n) if small.order == 2 else None
+        self.rows = self._stored(np.ones((1, evset.n), dtype=np.uint16))
+        self.rows.setflags(write=False)
+
+    def _stored(self, rows):
+        return rows if self.echelon is None else linalg.GF2Echelon.pack(rows)
+
+    def _extent(self, m):
+        """(functions, rows) of the table that belong to C(mQ), once the table covers m; none for m < 0."""
+        if m > self.top:
+            self._grow(m)
+        count = int(np.searchsorted(self.poles, m, side="right"))
+        return count, (1 + count * self.emb.ratio if m >= 0 else 0)
+
+    def prefix(self, m):
+        """(poles, rows): the kept functions of L(mQ) and the read-only rows that span its trace."""
+        count, end = self._extent(m)
+        rows = self.rows[:end]
+        if self.echelon is not None:
+            rows = np.unpackbits(rows, axis=1, count=self.evset.n).astype(np.uint16)
+            rows.setflags(write=False)
+        return self.poles[:count], rows
+
+    def _grow(self, m):
+        ev, q0 = self.evset, self.small.order
+        poles, expos = ev.curve.basis_table(ev.dimension_set()[-1], q0)  # capped where the code stabilizes
+        new = slice(np.searchsorted(poles, self.top, side="right"), np.searchsorted(poles, m, side="right"))
+        rho = poles[new]
+        keep = (rho > 0) & ~((rho % q0 == 0) & np.isin(rho // q0, poles))  # not a q0-th power of a basis function
+        if keep.any():
+            rows = self._stored(self.emb.trace_rows(ev.monomial_rows(expos[new][keep])))
+            self.rows = np.concatenate([self.rows, rows])  # a new array: rows handed out before stay as they were
+            self.rows.setflags(write=False)
+            self.poles = np.concatenate([self.poles, rho[keep]])
+        self.top = m
+
+    def code(self, m):
+        """The trace code of C(mQ); over GF(2) from the echelon, which takes only rows it has not taken."""
+        if self.echelon is None:
+            return LinearCode(self.small, self.evset.n, self.prefix(m)[1])
+        _, end = self._extent(m)
+        self.echelon.extend(self.rows[self.echelon.taken : end])
+        R, pivots = self.echelon.snapshot(end)
+        return LinearCode.from_rref(self.small, self.evset.n, R, pivots)
+
+
+def _trace_table(evset, small):
+    table = evset.trace_tables.get(small.order)
+    if table is None:
+        table = evset.trace_tables[small.order] = TraceTable(evset, small)
+    return table
+
+
+def trace_rows(evset, m, small):
+    """Spanning rows of the descended code, read-only, from the set's trace table (see TraceTable).
+
+    Row 0 is the all-ones row; blocks lists (pole order, its ratio-many row
+    indices), function by function.  For m < 0, C(mQ) = 0: no rows, no blocks.
+    """
+    table = _trace_table(evset, small)
+    poles, rows = table.prefix(m)
+    r = table.emb.ratio
+    blocks = [(0, [0])] if m >= 0 else []
+    blocks += [(rho, list(range(1 + t * r, 1 + (t + 1) * r))) for t, rho in enumerate(poles.tolist())]
+    return rows, blocks
 
 
 def trace_code(evset, m, small):
     """The trace of C(mQ) down to the subfield, as a LinearCode."""
-    rows, _ = trace_rows(evset, m, small)
-    return LinearCode(small, evset.n, rows)
+    return _trace_table(evset, small).code(m)
 
 
 def incomplete_trace_search(evset, m, small):
@@ -315,7 +383,7 @@ def incomplete_trace_search(evset, m, small):
     target_d, target_status = full.dual().min_weight()
     if target_status != "exact":
         raise OverBudget("full trace code's dual distance is over budget; raise CASTLEQEC_BUDGET")
-    _, last_idxs = blocks[-1]
+    last_idxs = blocks[-1][1] if blocks else []  # m < 0: the zero code, which drops nothing
     r = embedding(small, evset.field).ratio
     for t in range(r - 1, -1, -1):
         for dropped in itertools.combinations(last_idxs, t):

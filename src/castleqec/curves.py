@@ -286,6 +286,7 @@ class EvaluationSet:
         assert self.n == self.fiber_size * len(self.U)
         self.fibration_index = idx
         self._dimension_set = None
+        self.trace_tables = {}  # subfield order -> the agcodes.TraceTable every trace code of this set reads
 
     @property
     def field(self):
@@ -427,8 +428,8 @@ def evaluation_set_from_text(text, source="descriptor"):
 
     The last MEMO_EVALUATION_SETS sets built are kept, keyed by the text
     itself, so the same text gets the same object back, with its curve,
-    semigroup and basis tables.  Nothing may write to it: its arrays are
-    read-only.  Only built sets are kept; an error is raised anew on every
+    semigroup, basis tables and trace tables.  Nothing may write to it: its
+    arrays are read-only.  Only built sets are kept; an error is raised anew on every
     call.  The sharing pays only when one process loads a curve twice.
     """
     ev = _EVALUATION_SETS.pop(text, None)

@@ -45,7 +45,7 @@ def enumerate_weights(field, G):
 
 def _projective_weights(field, G):
     q, (k, n) = field.order, G.shape
-    multiples = field.mul_table[np.arange(q)[None, :, None], G[:, None, :]]  # s * G[i]
+    multiples = field.mul_table[np.arange(q)[None, :, None], G[1:, None, :]]  # s * G[i + 1]; row 0 is never scaled
     kb = min(k, 1)  # a pass counts at least q words
     while kb < k and q ** (kb + 1) * n <= min(_BLOCK_ENTRIES, q ** (k - kb - 1) * _STEP_ENTRIES):
         kb += 1
@@ -57,12 +57,12 @@ def _projective_weights(field, G):
     for i in range(k - 1, k_pre - 1, -1):
         zeros += _zero_counts(block, field.neg_table[G[i]], counter)
         if i:
-            block = np.concatenate([linalg.add(field, block, m[:, None]) for m in multiples[i]], axis=1)
+            block = np.concatenate([linalg.add(field, block, m[:, None]) for m in multiples[i - 1]], axis=1)
     for i in range(k_pre):
         for digits in itertools.product(range(q), repeat=k_pre - 1 - i):
             partial = G[i]
             for j, s in enumerate(digits, start=i + 1):
-                partial = linalg.add(field, partial, multiples[j, s])
+                partial = linalg.add(field, partial, multiples[j - 1, s])
             zeros += _zero_counts(block, field.neg_table[partial], counter)
     counts = zeros[::-1] * (q - 1)
     counts[0] += 1  # the zero vector

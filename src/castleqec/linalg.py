@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 
 import numpy as np
 
@@ -36,10 +35,17 @@ def rref(field, rows, n=None):
     elsewhere, pivots strictly increase.  This is the canonical form used for
     code equality.  A pivot row is zero left of its pivot, so each update
     touches only the columns from the pivot on.  Over GF(2) each row is one
-    Python integer instead (see _rref_gf2).
+    Python integer instead, taken by a fresh GF2Echelon.
     """
     if field.order == 2:
-        return _rref_gf2(as_matrix(rows, n))
+        M = as_matrix(rows, n)
+        (k, ncols), echelon = M.shape, GF2Echelon(M.shape[1])
+        step = max(1, _BLOCK // max(ncols, 1))  # rows packed at once
+        for b in range(0, k, step):
+            if len(echelon.entries) == ncols:
+                break
+            echelon.extend(GF2Echelon.pack(M[b : b + step]))
+        return echelon.snapshot()
     R = as_matrix(rows, n).copy()
     k, ncols = R.shape
     mul, neg, inv = field.mul_table, field.neg_table, field.inv_table
@@ -64,41 +70,70 @@ def rref(field, rows, n=None):
     return np.ascontiguousarray(R[:r]), tuple(pivots)
 
 
-def _rref_gf2(M):
-    """rref over GF(2) with each row one Python integer, column 0 the top bit.
+class GF2Echelon:
+    """An XOR basis of GF(2) rows, each row one Python integer with column 0 the top bit.
 
-    An XOR basis keyed by leading bit takes the rows in turn until it spans
-    all columns.  Back-substitution takes the leads in ascending order: the
-    rows of the lower leads (done) are reduced already, so they are zero at
-    every other pivot, and one XOR per set bit of v & done reduces v.
+    extend() takes rows in turn: each is reduced by the entries so far and,
+    if anything is left, becomes an entry keyed by its leading bit that
+    records the index of the row that created it.  Entries are never
+    modified after they are created, so the entries from the first c rows
+    span exactly those rows, and snapshot(c) is the rref of that prefix.
+    Once the entries span all n columns, later rows are taken unreduced.
     """
-    k, ncols = M.shape
-    width = -(-ncols // 8)  # bytes per packed row; column c is bit 8 width - 1 - c
-    step = max(1, _BLOCK // max(ncols, 1))  # rows packed, or unpacked, at once
-    packed = (np.packbits(M[b : b + step].astype(np.uint8), axis=1) for b in range(0, k, step))
-    basis = {}
-    for row in itertools.chain.from_iterable(packed):
-        v = int.from_bytes(row.tobytes(), "big")
-        while v and (lead := v.bit_length() - 1) in basis:
-            v ^= basis[lead]
-        if v:
-            basis[lead] = v
-            if len(basis) == ncols:
+
+    def __init__(self, n):
+        self.n = n
+        self.taken = 0  # rows taken so far
+        self.entries = {}  # leading bit -> the entry
+        self.sources = []  # the row that created each entry, ascending
+        self.leads = []  # the leading bit of each entry, in the same order
+
+    @staticmethod
+    def pack(M):
+        """Rows of 0/1 entries as np.packbits lays them out: column c is bit 7 - c % 8 of byte c // 8."""
+        return np.packbits(as_matrix(M).astype(np.uint8), axis=1)
+
+    def extend(self, packed):
+        """Take the next rows, given packed (see pack)."""
+        entries, n = self.entries, self.n
+        for i, row in enumerate(packed, start=self.taken):
+            if len(entries) == n:
                 break
-    done = 0
-    for lead in sorted(basis):
-        v, hits = basis[lead], basis[lead] & done
-        while hits:
-            low = hits.bit_length() - 1
-            v, hits = v ^ basis[low], hits ^ 1 << low
-        basis[lead], done = v, done | 1 << lead
-    leads = sorted(basis, reverse=True)  # pivot columns ascending
-    R = np.empty((len(leads), ncols), dtype=np.uint16)
-    for b in range(0, len(leads), step):
-        data = b"".join(basis[lead].to_bytes(width, "big") for lead in leads[b : b + step])
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(-1, width), axis=1)
-        R[b : b + step] = bits[:, :ncols]
-    return R, tuple(8 * width - 1 - lead for lead in leads)
+            v = int.from_bytes(row.tobytes(), "big")  # column c is bit 8 w - 1 - c, for w bytes a row
+            while v and (lead := v.bit_length() - 1) in entries:
+                v ^= entries[lead]
+            if v:
+                entries[lead] = v
+                self.sources.append(i)
+                self.leads.append(lead)
+        self.taken += len(packed)
+
+    def snapshot(self, c=None):
+        """(R, pivots): the rref of the first c rows taken (all of them by default), as rref returns it.
+
+        Back-substitution takes the leads in ascending order: the rows of the
+        lower leads (done) are reduced already, so they are zero at every
+        other pivot, and one XOR per set bit of v & done reduces v.
+        """
+        n = self.n
+        count = len(self.sources) if c is None else bisect.bisect_left(self.sources, c)
+        reduced, done = {}, 0
+        for lead in sorted(self.leads[:count]):
+            v = self.entries[lead]
+            hits = v & done
+            while hits:
+                low = hits.bit_length() - 1
+                v, hits = v ^ reduced[low], hits ^ 1 << low
+            reduced[lead], done = v, done | 1 << lead
+        leads = sorted(reduced, reverse=True)  # pivot columns ascending
+        width = -(-n // 8)
+        step = max(1, _BLOCK // max(n, 1))  # rows unpacked at once
+        R = np.empty((len(leads), n), dtype=np.uint16)
+        for b in range(0, len(leads), step):
+            data = b"".join(reduced[lead].to_bytes(width, "big") for lead in leads[b : b + step])
+            bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8).reshape(-1, width), axis=1)
+            R[b : b + step] = bits[:, :n]
+        return R, tuple(8 * width - 1 - lead for lead in leads)
 
 
 def add(field, X, Y):

@@ -182,6 +182,17 @@ def test_the_block_rule_sets_the_count_passes_and_the_peak_memory(monkeypatch):
             tracemalloc.stop()
         assert peak < bound, (q, k, n, peak)
 
+    # GF(1024) [2048, 2]: a one-level block of q n = 2^21 entries, 4 MiB, held with its q pieces, and the
+    # 4 MiB of row 1's multiples; row 0 is never scaled, so its multiples are not built (16.2 MiB if they were)
+    F, G = GF(1024), random_generator(random.Random(1024), 1024, 2, 2048)
+    tracemalloc.start()
+    try:
+        enumerate_weights(F, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 << 20, peak
+
 
 @pytest.mark.parametrize("q", [3, 4])
 @pytest.mark.parametrize("n", [255, 256, 257])

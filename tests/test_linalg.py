@@ -199,6 +199,29 @@ def test_gf2_elimination_in_row_blocks_matches_one_block(monkeypatch, n):
             assert got_pivots == pivots and got.dtype == R.dtype and got.shape == R.shape and (got == R).all()
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_gf2_echelon_snapshots_of_every_prefix_are_the_rref_of_that_prefix(monkeypatch, n):
+    # zero rows first (prefixes of rank 0), a low-rank stretch with repeated rows, then random rows past rank n;
+    # the rows are taken in uneven steps, and each prefix is also eliminated over GF(4), on the table path;
+    # rref over GF(2) packs and takes its rows three at a time
+    rng = random.Random(7 * n)
+    low = matmul(GF(2), random_matrix(rng, 2, 6, 3), random_matrix(rng, 2, 3, n))
+    M = np.vstack([np.zeros((2, n), dtype=np.uint16), low, low[[4, 1]], random_matrix(rng, 2, n + 6, n)])
+    monkeypatch.setattr(linalg, "_BLOCK", 3 * n)
+    echelon = linalg.GF2Echelon(n)
+    cuts = sorted({0, 1, 2, 5, len(M), *rng.sample(range(len(M)), 6)})
+    for a, b in zip(cuts, cuts[1:]):
+        echelon.extend(linalg.GF2Echelon.pack(M[a:b]))
+        assert echelon.taken == b
+        for c in range(a, b + 1):
+            R, pivots = echelon.snapshot(c)
+            R2, p2 = rref(GF(2), M[:c], n)
+            R4, p4 = rref(GF(4), M[:c], n)
+            assert pivots == p2 == p4 and all(type(col) is int for col in pivots), c
+            assert R.dtype == np.uint16 and R.shape == R2.shape == R4.shape and (R == R2).all() and (R == R4).all(), c
+    assert len(echelon.sources) == len(echelon.leads) == len(echelon.entries) == n
+
+
 MATMUL_FIELDS = [2, 3, 4, 5, 8, 9, 16, 25, 27, 32, 64, 81, 243, 1021, 1024]
 
 

@@ -1,4 +1,6 @@
 import json
+import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from castleqec.agcodes import (
     trace_code,
     trace_rows,
 )
+from castleqec.codes import LinearCode
 from castleqec.curves import CATALOGUE, curve_from_json, evaluation_set_from_json
 from castleqec.fields import GF, embedding
 from helpers import elliptic_gf4, evset, hermitian_gf9, hermitian_gf16, suzuki8
@@ -119,6 +122,7 @@ def test_incomplete_trace_elliptic_gf4():
     assert code == code.dual()
     d, status = code.dual().min_weight()
     assert (d, status) == (4, "exact")
+    assert incomplete_trace_search(ev, -1, GF(2)) == (LinearCode(GF(2), ev.n), ())  # C(-Q) = 0 drops nothing
 
 
 def test_incomplete_trace_hermitian_gf9():
@@ -146,7 +150,11 @@ def test_incomplete_trace_hermitian_gf16():
 
 
 ROOT = Path(__file__).resolve().parent.parent
-CURVE_FILES = sorted(ROOT.glob("curves/*.json")) + sorted(ROOT.glob("perfbench/curves/*.json"))
+CURVE_FILES = [
+    *sorted(ROOT.glob("curves/*.json")),
+    *sorted(ROOT.glob("perfbench/curves/*.json")),
+    *sorted(ROOT.glob("tests/data/twisted/*.json")),
+]
 BINARY_FILES = [path for path in CURVE_FILES if curve_from_json(json.loads(path.read_text())).field.p == 2]
 
 
@@ -187,8 +195,76 @@ def test_the_trace_rows_of_a_64_point_curve_are_traced_at_once(monkeypatch):
     calls, original = [], fields.Embedding.trace_vec
     monkeypatch.setattr(fields.Embedding, "trace_vec", lambda emb, arr: calls.append(arr.shape) or original(emb, arr))
     for name in ("suzuki8", "hermitian-gf16"):
-        ev = evaluation_set_from_json(CATALOGUE[name])
-        for m in ev.dimension_set():
+        for m in evaluation_set_from_json(CATALOGUE[name]).dimension_set():
+            ev = evaluation_set_from_json(CATALOGUE[name])  # a fresh set: its trace table starts empty
             calls.clear()
             rows, _ = trace_rows(ev, m, GF(2))
             assert len(calls) == (len(rows) > 1), (name, m)
+
+
+def proper_subfields(F):
+    return [GF(F.p ** j) for j in range(1, F.k) if F.k % j == 0]
+
+
+@pytest.mark.parametrize("path", CURVE_FILES, ids=lambda p: p.stem)
+def test_trace_code_is_the_trace_of_the_one_point_code_on_every_curve_file(path):
+    # C(-Q) = 0, so its trace is the zero code, not the span of the all-ones row
+    ev = evaluation_set_from_json(json.loads(path.read_text()))
+    ms = ev.dimension_set()
+    assert proper_subfields(ev.field)
+    for small in proper_subfields(ev.field):
+        for m in (-1, 0, ms[1], ms[len(ms) // 2], ms[-1]):
+            assert trace_code(ev, m, small) == OnePointCode(ev, m).code.trace_code(small), (small, m)
+        assert trace_code(ev, -1, small).dimension == 0 and trace_rows(ev, -1, small)[1] == []
+
+
+@pytest.mark.parametrize("path", CURVE_FILES, ids=lambda p: p.stem)
+def test_codes_from_a_shared_trace_table_equal_codes_from_a_fresh_set(path):
+    # ascending, descending and shuffled m on one set, against a fresh set (a new table and echelon) per m
+    text = path.read_text()
+    ev = evaluation_set_from_json(json.loads(text))
+    ms, subfields = ev.dimension_set(), proper_subfields(ev.field)
+    asked = sorted({-1, *ms[:: max(1, len(ms) // 6)], ms[3] + 1, ms[-2], ms[-1], ms[-1] + 1, ms[-1] + 40})
+    want = {}
+    for m in asked:
+        for small in subfields:
+            fresh = evaluation_set_from_json(json.loads(text))
+            want[m, small.order] = trace_rows(fresh, m, small)[0].copy(), trace_code(fresh, m, small)
+    shuffled = random.Random(path.stem).sample(asked, len(asked))
+    for order in (asked, asked[::-1], shuffled):
+        ev = evaluation_set_from_json(json.loads(text))
+        for m in order:
+            for small in subfields:
+                rows, code = want[m, small.order]
+                got = trace_rows(ev, m, small)[0]
+                assert got.shape == rows.shape and (got == rows).all(), (small, m)
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[:1] = 0
+                assert trace_code(ev, m, small) == code, (small, m)
+        # one table and, over GF(2), one echelon per subfield, each its own array, grown to the largest m
+        assert sorted(ev.trace_tables) == [small.order for small in subfields]
+        for small in subfields:
+            table = ev.trace_tables[small.order]
+            assert table.rows.base is None and not table.rows.flags.writeable
+            assert len(table.rows) == len(want[asked[-1], small.order][0])
+            assert (table.echelon is not None) == (small.order == 2)
+
+
+def test_a_sweep_holds_one_table_per_subfield_not_one_per_m():
+    # what the set holds after 40 builds per subfield (codes over GF(2), which extend the echelon)
+    ev = evaluation_set_from_json(CATALOGUE["maximal-gf64"])
+    ms, subfields = ev.dimension_set(), proper_subfields(ev.field)
+    for small in subfields:  # the curve's basis table and the embeddings, which outlive any table
+        ev.curve.basis_table(ms[-1], small.order)
+        embedding(small, ev.field)
+    tracemalloc.start()
+    try:
+        for m in random.Random(5).sample(ms, 40):
+            for small in subfields:
+                trace_code(ev, m, small) if small.order == 2 else trace_rows(ev, m, small)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    tables = sum(table.rows.nbytes + table.poles.nbytes for table in ev.trace_tables.values())
+    assert tables < held < tables + (256 << 10), (tables, held)
