@@ -124,24 +124,24 @@ class CodeSequence:
     with poles m_1 .. m_i.  Rows are evaluated when first asked for, and no
     level is kept: level(i) builds C_i on each call.
 
-    Under a certificate proven on this set, G = B diag(x) B^T vanishes below
-    its anti-diagonal (m_a + m_b <= n + 2g - 2 for a + b <= n - 2, from 0),
-    so B[:i] has rank i iff G[a, n - 1 - a] != 0 for a < i: one product with
-    the mirror row B[n - 1 - a] each, and a < n/2 covers all (G = G^T).
-    Otherwise an echelon accumulator takes the rows one at a time.
+    The flag certifies itself: cert is certify_duality(evset), run once, and
+    a set it does not prove is refused with a ValueError.  Under it,
+    G = B diag(x) B^T vanishes below its anti-diagonal (m_a + m_b <= n + 2g - 2
+    for a + b <= n - 2, from 0), so B[:i] has rank i iff G[a, n - 1 - a] != 0
+    for a < i: one product with the mirror row B[n - 1 - a] each, and
+    a < n/2 covers all (G = G^T).
     """
 
-    def __init__(self, evset, cert=None):
+    def __init__(self, evset):
         self.evset = evset
+        self.cert = certify_duality(evset)
+        if self.cert.status == "unverified":
+            raise ValueError(f"duality certification failed for {evset.curve.tag}: {self.cert.reason}")
         self.ms = evset.dimension_set()
         poles, expos = evset.curve.basis_table(self.ms[-1])
         self._exponents = list(map(tuple, expos[np.searchsorted(poles, self.ms)].tolist()))
         self._rows = np.zeros((0, evset.n), dtype=np.uint16)  # the basis rows evaluated so far
-        if cert is not None and cert.proves(evset):
-            self._acc = None
-            self._twist = np.ones(evset.n, dtype=np.uint16) if cert.twist is None else cert.twist
-        else:
-            self._acc = linalg.RREFAccumulator(evset.field, evset.n)
+        self._twist = np.ones(evset.n, dtype=np.uint16) if self.cert.twist is None else self.cert.twist
 
     @property
     def n(self):
@@ -154,13 +154,8 @@ class CodeSequence:
             rows = np.concatenate(
                 [self._rows, self.evset.monomial_rows(self._exponents[evaluated : max(i, 2 * evaluated)])]
             )
-            if self._acc is None:
-                self._prove(rows, evaluated, min(len(rows), (self.n + 1) // 2))
+            self._prove(rows, evaluated, min(len(rows), (self.n + 1) // 2))
             self._rows = rows
-        acc = self._acc
-        while acc is not None and acc.dimension < i:
-            if not acc.insert(self._rows[acc.dimension]):
-                self._no_growth(acc.dimension)
         return self._rows[:i]
 
     def _prove(self, rows, a, count):
@@ -171,17 +166,12 @@ class CodeSequence:
         mirrors = self.evset.monomial_rows([self._exponents[self.n - 1 - b] for b in range(a, count)])
         entries = linalg.matmul(F, F.mul_table[rows[a:count], mirrors], self._twist[:, None])[:, 0]
         if not entries.all():
-            self._no_growth(a + int(np.flatnonzero(entries == 0)[0]))
-
-    def _no_growth(self, j):
-        raise AssertionError(f"{self.evset.curve.tag}: level {j + 1} does not grow at pole {self.ms[j]}")
+            j = a + int(np.flatnonzero(entries == 0)[0])
+            raise AssertionError(f"{self.evset.curve.tag}: level {j + 1} does not grow at pole {self.ms[j]}")
 
     def level(self, i):
-        """C_i: the accumulator's RREF when it stands at i, else B[:i] eliminated anew."""
-        rows, acc = self.rows(i), self._acc
-        if acc is not None and acc.dimension == i:
-            return LinearCode.from_rref(acc.field, acc.n, acc.snapshot(), acc.pivots)
-        return LinearCode(self.evset.field, self.n, rows)
+        """C_i: B[:i] eliminated anew."""
+        return LinearCode(self.evset.field, self.n, self.rows(i))
 
     def pole_of_level(self, i):
         """m_i: the pole order at which the sequence reaches dimension i."""
@@ -200,15 +190,10 @@ class DualityCertificate:
     says which check failed.
     """
 
-    def __init__(self, status, twist=None, reason=None, evset=None):  # evset: the set certify_duality used
+    def __init__(self, status, twist=None, reason=None):
         self.status = status
         self.twist = twist
         self.reason = reason
-        self.evset = evset
-
-    def proves(self, evset):
-        """Whether certify_duality proved this on evset, not a claim made by hand."""
-        return self.evset is evset and self.status != "unverified"
 
     def __repr__(self):
         return f"<duality {self.status}>"
@@ -249,8 +234,8 @@ def certify_duality(evset):
     if linalg.matmul(F, evset.fiber_sums(Y), V.T)[np.add.outer(w, v * a) <= top].any():  # l(top Q) entries
         return DualityCertificate("unverified", reason=f"the residue twist is not orthogonal to C({top}Q)")
     if (x == 1).all():
-        return DualityCertificate("self-dual", evset=evset)
-    return DualityCertificate("formally-self-dual", x, evset=evset)
+        return DualityCertificate("self-dual")
+    return DualityCertificate("formally-self-dual", x)
 
 
 def past_top(evset, row_poles, column_poles, e=1):

@@ -11,7 +11,7 @@ import functools
 import json
 import sys
 
-from .agcodes import CodeSequence, OnePointCode, certify_duality, report_fields, trace_code
+from .agcodes import CodeSequence, OnePointCode, report_fields, trace_code
 from .curves import evaluation_set_from_text
 from .fields import GF, UnsupportedFieldError, prime_power
 from .quantum import gv_status, gv_terms, scan_sequence
@@ -42,12 +42,11 @@ def _flatten(row):
     return flat
 
 
-def emit_rows(rows, fmt, stream=None):
-    stream = sys.stdout if stream is None else stream
+def emit_rows(rows, fmt):
     rows = list(rows)
     if fmt == "json":
         for row in rows:
-            print(json.dumps(row), file=stream)
+            print(json.dumps(row))
         return
     flats = [_flatten(row) for row in rows]
     columns = []
@@ -55,7 +54,7 @@ def emit_rows(rows, fmt, stream=None):
         for column in flat:
             if column not in columns:
                 columns.append(column)
-    writer = csv.DictWriter(stream, fieldnames=columns, restval="")
+    writer = csv.DictWriter(sys.stdout, fieldnames=columns, restval="")
     writer.writeheader()
     writer.writerows(flats)
 
@@ -137,9 +136,8 @@ def cmd_reproduce(args):
 
 def cmd_scan(args):
     ev = _load_eval_set(args.curve_file)
-    cert = certify_duality(ev)
-    seq = CodeSequence(ev, cert)
-    scanned = scan_sequence(seq, cert, args.construction, max_i=args.max_i)
+    seq = CodeSequence(ev)
+    scanned = scan_sequence(seq, args.construction, max_i=args.max_i)
     rows = [
         {"i": i, "m": seq.pole_of_level(i) if i else None, **quantum_row(params)}
         for i, params in scanned

@@ -312,15 +312,15 @@ class Embedding:
         """Coordinatewise trace of an array of big-field indices, as small-field indices."""
         return self.trace_table[np.asarray(arr)]
 
-    def trace_rows(self, M, out=None):
-        """Rows Tr(alpha^j g) for each row g of M and each j < ratio, g-major, written into out if given.
+    def trace_rows(self, M):
+        """Rows Tr(alpha^j g) for each row g of M and each j < ratio, g-major.
 
         The rows of M are scaled and traced a block at a time, at most
         _BLOCK scaled entries at once.
         """
         M = np.asarray(M, dtype=np.uint16)
         (k, n), r = M.shape, self.ratio
-        out = np.empty((k * r, n), dtype=np.uint16) if out is None else out
+        out = np.empty((k * r, n), dtype=np.uint16)
         step = max(1, _BLOCK // max(r * n, 1))
         for b in range(0, k, step):
             scaled = self.big.mul_table[self._alpha_pows[None, :, None], M[b : b + step, None, :]]

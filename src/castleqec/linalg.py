@@ -217,6 +217,7 @@ def matmul(field, A, B):
     return out.T if swap else out
 
 
+# reduce_row and RREFAccumulator have no caller in castleqec; perfbench/tracer.py patches both by name.
 def reduce_row(field, R, pivots, v):
     """Reduce v against an RREF basis: v - v[P] R, zero iff v is in the row space."""
     v = np.asarray(v, dtype=np.uint16)
@@ -226,8 +227,8 @@ def reduce_row(field, R, pivots, v):
 class RREFAccumulator:
     """Maintains a canonical RREF basis under one-row-at-a-time insertion.
 
-    Used to build strictly increasing code sequences: after every successful
-    insert, snapshot() equals rref() of all rows inserted so far.
+    After every successful insert, snapshot() equals rref() of all rows
+    inserted so far.
     """
 
     def __init__(self, field, n):

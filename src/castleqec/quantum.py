@@ -109,7 +109,7 @@ def css_hermitian(code):
     return _stabilizer_css(code, code.field.sqrt_order(), "hermitian")
 
 
-def level_step(seq, cert, construction):
+def level_step(seq, construction):
     """The per-level step of a sequence construction.
 
     Returns step(i): the quantum code at level i, or None once the gate of
@@ -130,16 +130,16 @@ def level_step(seq, cert, construction):
     since <y a, y b>_H = sum x a b^q~: y exists iff x is valued in F_{q~},
     and y * C_i has C_i's weights, as y has no zero entry.  So every gate is
     one form B(a, b) = a . b', with b' = x * b for C, x * b^q~ for B and
-    b^q~ for A and "hermitian" (x = 1 on an exactly self-dual flag).  A
-    proven certificate (DualityCertificate.proves) gives B(f_s, f_t) = 0 for
-    basis functions with m_s + e m_t <= n + 2g - 2, e = 1 for C and q~
-    otherwise (agcodes.past_top), so only the rows and columns of the other
-    pairs are multiplied, and the C gate multiplies none; "hermitian" on a
-    twisted flag, and a claim made by hand, pair all rows.  Every gate is
-    incremental too: the step keeps the highest level j whose gate held, so
-    a level at or below it passes with no product (a subcode of a
-    self-orthogonal code is self-orthogonal), and a level above it pairs
-    only its new rows B[j:i] with B[:i], in any order of calls.
+    b^q~ for A and "hermitian" (x = 1 on an exactly self-dual flag).  The
+    flag's certificate, seq.cert, gives B(f_s, f_t) = 0 for basis functions
+    with m_s + e m_t <= n + 2g - 2, e = 1 for C and q~ otherwise
+    (agcodes.past_top), so only the rows and columns of the other pairs are
+    multiplied, and the C gate multiplies none; "hermitian" on a twisted
+    flag pairs all rows.  Every gate is incremental too: the step keeps the
+    highest level j whose gate held, so a level at or below it passes with
+    no product (a subcode of a self-orthogonal code is self-orthogonal), and
+    a level above it pairs only its new rows B[j:i] with B[:i], in any order
+    of calls.
 
     A step builds no code but C_i, for every construction, and only when
     its q^i words are in budget; it asks the sequence for no other level.
@@ -154,12 +154,10 @@ def level_step(seq, cert, construction):
     """
     if construction not in ("A", "B", "C", "hermitian"):
         raise ValueError(f"unknown construction {construction!r}")
-    ev, n = seq.evset, seq.n
+    ev, n, cert = seq.evset, seq.n, seq.cert
     F = ev.field
     euclidean = construction == "C"
     q = F.order if euclidean else F.sqrt_order()
-    if construction != "hermitian" and cert.status == "unverified":
-        raise ValueError(f"duality certification failed for {ev.curve.tag}: {cert.reason}")
     if construction == "A" and cert.status != "self-dual":
         # a nonconstant twist x already separates C_1^perp = 1^perp from
         # C_(n-1) = x^perp, so the flag fails at its first pole order
@@ -171,7 +169,7 @@ def level_step(seq, cert, construction):
     if construction == "B" and x is not None and not (F.pow_table(q)[x] == x).all():
         # y with y^(q~+1) = x exists only when x takes values in F_{q~}
         raise ValueError("twist is not valued in the hermitian base field")
-    certified = cert.proves(ev) and (construction != "hermitian" or cert.status == "self-dual")
+    certified = construction != "hermitian" or cert.status == "self-dual"
     ms = np.array(seq.ms)
     held = 0  # the highest level whose gate held
 
@@ -205,7 +203,7 @@ def level_step(seq, cert, construction):
     return step
 
 
-def scan_sequence(seq, cert, construction, max_i=None):
+def scan_sequence(seq, construction, max_i=None):
     """One quantum code per admissible level of a code sequence, in level order.
 
     Runs level_step from i = 0 until its gate closes; levels past max_i are
@@ -216,7 +214,7 @@ def scan_sequence(seq, cert, construction, max_i=None):
         max_i = seq.n
     elif max_i < 0:
         raise ValueError(f"max_i must be nonnegative, got {max_i}")
-    step = level_step(seq, cert, construction)
+    step = level_step(seq, construction)
     out = []
     for i in range(min(max_i, seq.n) + 1):
         params = step(i)

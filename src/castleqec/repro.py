@@ -26,7 +26,7 @@ values and the discrepancy is surfaced as a note.
 
 from dataclasses import dataclass, replace
 
-from .agcodes import CodeSequence, certify_duality, incomplete_trace_search, trace_code
+from .agcodes import CodeSequence, incomplete_trace_search, trace_code
 from .codes import OverBudget
 from .curves import CATALOGUE, evaluation_set_from_json
 from .fields import GF
@@ -138,9 +138,8 @@ def build_rows(builds):
 
 def _levels(ev, construction, at):
     """Rows of level_step: C at the levels at, the hermitian CSS at the pole orders at."""
-    cert = certify_duality(ev)
-    seq = CodeSequence(ev, cert)
-    step = level_step(seq, cert, construction)
+    seq = CodeSequence(ev)
+    step = level_step(seq, construction)
     out = []
     for i in at if construction == "C" else [seq.ms.index(m) + 1 for m in at]:
         params = step(i)

@@ -246,8 +246,8 @@ def certify_duality_by_rows(evset):
         if linalg.matmul(evset.field, evset.monomial_rows(expos[b : b + block]), x[:, None]).any():
             return DualityCertificate("unverified", reason=f"the residue twist is not orthogonal to C({top}Q)")
     if (x == 1).all():
-        return DualityCertificate("self-dual", evset=evset)
-    return DualityCertificate("formally-self-dual", x, evset=evset)
+        return DualityCertificate("self-dual")
+    return DualityCertificate("formally-self-dual", x)
 
 
 def self_orthogonal_by_gram(code, mode):

@@ -9,7 +9,6 @@ import pytest
 from castleqec import codes, linalg, quantum
 from castleqec.agcodes import (
     CodeSequence,
-    DualityCertificate,
     OnePointCode,
     certify_duality,
     incomplete_trace_search,
@@ -98,8 +97,7 @@ def test_css_hermitian_rejects_above_range():
 def test_construction_a_hermitian_gf9():
     ev = evset(hermitian_gf9)
     seq = CodeSequence(ev)
-    cert = certify_duality(ev)
-    rows = scan_sequence(seq, cert, "A")[1:]
+    rows = scan_sequence(seq, "A")[1:]
     # levels m = 0,3,4,6,7 pass the gate; m = 8 fails it, matching the
     # closed-form hermitian self-orthogonality range (q~ + 1) m <= n + 2g - 2
     assert [seq.pole_of_level(i) for i, _ in rows] == [0, 3, 4, 6, 7]
@@ -130,20 +128,20 @@ def test_construction_a_gate_is_hermitian_self_orthogonality():
 def test_construction_a_requires_exact_self_duality():
     ev = evset(elliptic_gf9, fibration="y")
     with pytest.raises(ValueError, match="self-dual"):
-        scan_sequence(CodeSequence(ev), certify_duality(ev), "A")
+        scan_sequence(CodeSequence(ev), "A")
 
 
 def test_construction_b_twisted_gf9():
     ev = evset(twisted_gf9)
     assert ev.curve.is_castle
     seq = CodeSequence(ev)
-    cert = certify_duality(ev)
+    cert = seq.cert
     assert cert.status == "formally-self-dual"
     # the twist lives in GF(3), so the hermitian root exists entrywise
     F = ev.field
     x = cert.twist
     assert (F.pow_table(3)[x] == x).all()
-    rows = scan_sequence(seq, cert, "B")[1:]
+    rows = scan_sequence(seq, "B")[1:]
     assert [i for i, _ in rows] == [1, 2, 3, 4, 5, 6, 7]
     for i, p in rows:
         assert (p.n, p.k, p.q) == (18, 18 - 2 * i, 3)
@@ -154,8 +152,7 @@ def test_construction_b_twisted_gf9():
 def test_construction_b_elliptic_gf9():
     ev = evset(elliptic_gf9, fibration="y")
     seq = CodeSequence(ev)
-    cert = certify_duality(ev)
-    rows = scan_sequence(seq, cert, "B")[1:]
+    rows = scan_sequence(seq, "B")[1:]
     assert [(i, p.n, p.k, p.d, p.q) for i, p in rows] == [
         (1, 15, 13, 2, 3),
         (2, 15, 11, 2, 3),
@@ -166,11 +163,11 @@ def test_construction_b_elliptic_gf9():
 def test_construction_b_on_a_twist_valued_in_gf8(monkeypatch):
     monkeypatch.delenv("CASTLEQEC_BUDGET", raising=False)
     ev = load(ROOT / "tests/data/twisted/hermitian-gf64-sub4.json")
-    cert = certify_duality(ev)
-    x = cert.twist
-    assert cert.status == "formally-self-dual" and len(set(x.tolist())) > 1
+    seq = CodeSequence(ev)
+    x = seq.cert.twist
+    assert seq.cert.status == "formally-self-dual" and len(set(x.tolist())) > 1
     assert (ev.field.pow_table(8)[x] == x).all()  # x in GF(8): y with y^9 = x exists
-    rows = scan_sequence(CodeSequence(ev), cert, "B")[1:]
+    rows = scan_sequence(seq, "B")[1:]
     assert [(i, p.n, p.k, p.q) for i, p in rows] == [(i, 32, 32 - 2 * i, 8) for i in range(1, 17)]
     assert [(p.d, p.d_provenance) for _, p in rows] == [(d, "exact") for d in (2, 2, 3, 3)] + [
         (d, "lower-bound") for d in (3, 4, 4, 4, 4, 5, 5, 5, 5, 6, 6, 6)
@@ -181,18 +178,17 @@ def test_construction_b_rejects_unsuitable_twists():
     ev = evset(suzuki8)
     seq = CodeSequence(ev)
     with pytest.raises(ValueError, match="square"):
-        scan_sequence(seq, certify_duality(ev), "B")  # GF(8) is not a square
+        scan_sequence(seq, "B")  # GF(8) is not a square
     # the x-fibration twist takes values outside GF(3), so no root exists
     ev9 = evset(elliptic_gf9, fibration="x")
     with pytest.raises(ValueError, match="valued"):
-        scan_sequence(CodeSequence(ev9), certify_duality(ev9), "B")
+        scan_sequence(CodeSequence(ev9), "B")
 
 
 def test_construction_c_suzuki():
     ev = evset(suzuki8)
     seq = CodeSequence(ev)
-    cert = certify_duality(ev)
-    rows = dict(scan_sequence(seq, cert, "C", max_i=14))
+    rows = dict(scan_sequence(seq, "C", max_i=14))
     # at i=5 the exact relative weight is 4, one better than the order bound 3
     # (no weight-3 triple of evaluation columns is dependent)
     exact = {1: 2, 5: 4, 6: 4}
@@ -321,7 +317,7 @@ def test_certified_partner_is_the_sequence_level(path):
     if cert.status == "unverified":
         pytest.skip("no verified certificate")
     seq, n = CodeSequence(ev), ev.n
-    levels = [seq.level(i) for i in range(n + 1)]  # one ascending sweep: no level is eliminated anew
+    levels = [seq.level(i) for i in range(n + 1)]  # one ascending sweep
     for i in range(1, n // 2 + 1):
         level, partner = levels[i], levels[n - i]
         assert certified_partner(level, cert.twist) == partner
@@ -340,8 +336,7 @@ def test_certified_partner_is_the_sequence_level(path):
 )
 def test_a_budget_one_scan_builds_no_dual(monkeypatch, path, construction):
     ev = load(path)
-    cert = certify_duality(ev)
-    seq = CodeSequence(ev, cert)
+    seq = CodeSequence(ev)
     built, asked = [], spy_levels_asked(monkeypatch)
 
     def spy(name, original):
@@ -356,7 +351,7 @@ def test_a_budget_one_scan_builds_no_dual(monkeypatch, path, construction):
     monkeypatch.setattr(linalg, "kernel_basis", spy("kernel_basis", linalg.kernel_basis))  # C's partner
     monkeypatch.setattr(linalg, "rref", spy("rref", linalg.rref))  # B's y * C_i, or any other code
     monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
-    rows = scan_sequence(seq, cert, construction)
+    rows = scan_sequence(seq, construction)
     assert len(rows) > 2 and all(p.d_provenance == "lower-bound" for _, p in rows[1:])
     assert built == [] and asked["level"] == []  # no level is built over budget
     assert max(asked["rows"]) <= min(rows[-1][0] + 1, ev.n // 2)  # nothing past the first closed gate
@@ -364,18 +359,16 @@ def test_a_budget_one_scan_builds_no_dual(monkeypatch, path, construction):
 
 def test_a_one_level_c_scan_keeps_two_levels(monkeypatch):
     ev = load(ROOT / "curves/hermitian-gf16.json")
-    cert = certify_duality(ev)
-    seq, asked = CodeSequence(ev, cert), spy_levels_asked(monkeypatch)
+    seq, asked = CodeSequence(ev), spy_levels_asked(monkeypatch)
     monkeypatch.setenv("CASTLEQEC_BUDGET", "16")
-    rows = scan_sequence(seq, cert, "C", max_i=1)
+    rows = scan_sequence(seq, "C", max_i=1)
     assert [i for i, _ in rows] == [0, 1]
     assert asked == {"rows": [1, 1], "level": [1]}  # the gate's rows and C_1, nothing above
 
 
 def test_a_full_c_scan_leaves_at_most_one_level_alive(monkeypatch):
     ev = load(ROOT / "curves/hermitian-gf16.json")
-    cert = certify_duality(ev)
-    seq, handed = CodeSequence(ev, cert), []
+    seq, handed = CodeSequence(ev), []
     original = CodeSequence.level
 
     def recording(self, i):
@@ -385,7 +378,7 @@ def test_a_full_c_scan_leaves_at_most_one_level_alive(monkeypatch):
 
     monkeypatch.setattr(CodeSequence, "level", recording)
     monkeypatch.setenv("CASTLEQEC_BUDGET", str(16**3))
-    rows = scan_sequence(seq, cert, "C")
+    rows = scan_sequence(seq, "C")
     assert [i for i, _ in rows] == list(range(ev.n // 2 + 1))  # the whole flag up to n/2
     assert len(handed) == 3  # one level per step in budget, none above 16^3 words
     codes._enumerated.cache_clear()  # the weight memo keys on the codes it enumerated
@@ -424,12 +417,13 @@ def partner_distance(code, partner):
 def test_a_distance_from_the_stabilizer_alone_matches_the_built_partner(monkeypatch, path):
     monkeypatch.setenv("CASTLEQEC_BUDGET", str(ORACLE_BUDGET))
     ev = load(path)
-    seq, cert, F = CodeSequence(ev), certify_duality(ev), ev.field
+    seq, F = CodeSequence(ev), ev.field
+    cert = seq.cert
     top = max(i for i in range(ev.n + 1) if F.order**i <= ORACLE_BUDGET)  # the levels in budget
     checked = 0
     for construction in ("A", "B", "C", "hermitian"):
         try:
-            rows = scan_sequence(seq, cert, construction, max_i=top)[1:]
+            rows = scan_sequence(seq, construction, max_i=top)[1:]
         except ValueError:
             continue  # the construction does not apply to this flag or field
         q = F.order if construction == "C" else F.sqrt_order()
@@ -485,10 +479,10 @@ def test_a_degenerate_code_keeps_its_stabilizer_words_out_of_d(monkeypatch):
 
 def test_a_c_level_in_budget_enumerates_once_and_builds_no_dual(monkeypatch):
     ev = load(ROOT / "curves/elliptic-gf9.json")
-    seq, cert = CodeSequence(ev), certify_duality(ev)
-    assert cert.status == "formally-self-dual"  # x != 1: the partner's dual x * C_4 is not C_4
+    seq = CodeSequence(ev)
+    assert seq.cert.status == "formally-self-dual"  # x != 1: the partner's dual x * C_4 is not C_4
     monkeypatch.setenv("CASTLEQEC_BUDGET", str(1 << 16))
-    step = level_step(seq, cert, "C")
+    step = level_step(seq, "C")
     seen, kernels_taken = count_enumerations(monkeypatch), []
     original = linalg.kernel_basis
 
@@ -531,15 +525,6 @@ def gram_gates(F, rows, cert, construction):
     return {i: not gram[:i, :i].any() for i in range(1, len(rows) + 1)}
 
 
-def step_gate(step, i):
-    """Whether step(i) passes its gate: None or a refused C partner says no."""
-    try:
-        return step(i) is not None
-    except ValueError as exc:
-        assert "is not in its certified partner" in str(exc)
-        return False
-
-
 def spy_pairings(monkeypatch, n):
     """(rows, columns) of every product that pairs length-n words, from now on."""
     seen = []
@@ -554,15 +539,14 @@ def spy_pairings(monkeypatch, n):
     return seen
 
 
-def gate_pairing(ev, claim, construction, held, i):
+def gate_pairing(ev, cert, construction, held, i):
     """The gate product of step(i) above held: (rows, columns), or None when no pair is left to test.
 
-    With a certificate certify_duality proved on ev, the pair of basis rows
-    (s, t) is tested only when m_s + e m_t > n + 2g - 2, e = 1 for C and q~
-    otherwise, except for "hermitian" on a twisted flag; these pairs fill a
-    trailing block of B[held:i] x B[:i].  Any other claim pairs every new row.
+    The pair of basis rows (s, t) is tested only when m_s + e m_t > n + 2g - 2,
+    e = 1 for C and q~ otherwise; these pairs fill a trailing block of
+    B[held:i] x B[:i].  "hermitian" on a twisted flag pairs every new row.
     """
-    if not (claim.evset is ev and (construction != "hermitian" or claim.status == "self-dual")):
+    if construction == "hermitian" and cert.status != "self-dual":
         return (i - held, i)
     S = ev.curve.semigroup
     ms, top = ev.dimension_set(), ev.n + 2 * S.genus - 2
@@ -577,48 +561,31 @@ def test_the_incremental_gate_decides_as_the_whole_level_test(monkeypatch, path)
     monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
     ev = load(path)
     cert = certify_duality(ev)
-    assert cert.proves(ev)
     rows = first_independent_rows(ev, ev.n // 2 + 1)
-    handmade = DualityCertificate(cert.status, cert.twist)  # the same claim, not proven on ev: no pole sums
-    cases = [(c, claim) for claim in (cert, handmade) for c in ("A", "B", "C", "hermitian")]
-    if cert.status == "formally-self-dual":  # a false claim of self-duality, which the C gate must refuse
-        cases.append(("C", DualityCertificate("self-dual")))
     pairings, asked, checked = spy_pairings(monkeypatch, ev.n), spy_levels_asked(monkeypatch), 0
-    for construction, claim in cases:
+    for construction in ("A", "B", "C", "hermitian"):
         try:
-            level_step(CodeSequence(ev, claim), claim, construction)
+            level_step(CodeSequence(ev), construction)
         except ValueError:
             continue  # the construction does not apply to this flag or field
-        gates = gram_gates(ev.field, rows, claim, construction)
+        gates = gram_gates(ev.field, rows, cert, construction)
         gated = list(gates)
         for order in (gated, random.Random(path.stem).sample(gated, len(gated))):  # as a manifest may call
-            seq = CodeSequence(ev, claim)
+            seq = CodeSequence(ev)
             seq.rows(ev.n // 2)  # the rank proof, before the spies count the gate's products
-            step, held = level_step(seq, claim, construction), 0
+            step, held = level_step(seq, construction), 0
             for i in order:
                 pairings.clear()
                 asked["level"].clear()
-                assert step_gate(step, i) == gates[i], (construction, claim.status, i)
+                assert (step(i) is not None) == gates[i], (construction, i)
                 # a product only of the rows C_i adds to the highest level that held, none at or below it
-                pairing = gate_pairing(ev, claim, construction, held, i) if held < i <= ev.n // 2 else None
+                pairing = gate_pairing(ev, cert, construction, held, i) if held < i <= ev.n // 2 else None
                 assert pairings == ([] if pairing is None else [pairing]), (construction, i)
                 assert asked["level"] == []  # nothing is built at budget 1
                 if gates[i]:
                     held = max(held, i)
         checked += 1
     assert checked
-
-
-@pytest.mark.parametrize("path", sorted(ROOT.glob("tests/data/twisted/*.json")), ids=lambda p: p.stem)
-def test_a_false_claim_made_by_hand_cannot_switch_off_the_c_gate(monkeypatch, path):
-    # the flag is twisted, so a hand-made claim of exact self-duality is false; pole sums would pass
-    # every C level, and only the product finds that C_i is not in C_(n-i)
-    monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
-    ev = load(path)
-    assert certify_duality(ev).status == "formally-self-dual"
-    claim = DualityCertificate("self-dual")
-    with pytest.raises(ValueError, match="is not in its certified partner"):
-        scan_sequence(CodeSequence(ev, claim), claim, "C")
 
 
 @pytest.mark.parametrize(
@@ -631,13 +598,12 @@ def test_a_false_claim_made_by_hand_cannot_switch_off_the_c_gate(monkeypatch, pa
 def test_a_scan_gate_pairs_only_the_row_its_level_adds(monkeypatch, path, construction):
     monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
     ev = load(path)
-    cert = certify_duality(ev)
-    seq = CodeSequence(ev, cert)
+    seq = CodeSequence(ev)
     seq.rows(ev.n // 2)  # the rank proof, before the spy counts the gate's products
     pairings = spy_pairings(monkeypatch, ev.n)
-    last = scan_sequence(seq, cert, construction)[-1][0]
+    last = scan_sequence(seq, construction)[-1][0]
     gated = range(1, min(last + 1, ev.n // 2) + 1)  # the levels scanned, and the one whose gate closed
-    expected = [gate_pairing(ev, cert, construction, i - 1, i) for i in gated]
+    expected = [gate_pairing(ev, seq.cert, construction, i - 1, i) for i in gated]
     assert last > 1 and pairings == [p for p in expected if p is not None]
     assert all(rows == 1 for rows, _ in pairings)
     assert (construction == "C") == (pairings == [])  # the C gate lies within the pole sums

@@ -3,7 +3,7 @@
 import pytest
 
 from castleqec import quantum, repro
-from castleqec.agcodes import CodeSequence, certify_duality
+from castleqec.agcodes import CodeSequence
 from castleqec.curves import CATALOGUE, evaluation_set_from_json
 from castleqec.quantum import QuantumParams, scan_sequence
 from castleqec.repro import (
@@ -119,7 +119,7 @@ def test_sequence_rows_come_from_the_scan_step(monkeypatch):
             assert from_step == (construction in ("C", "hermitian")), (identifier, result.row.label)
     made.clear()
     ev = evaluation_set_from_json(CATALOGUE["elliptic-gf4"])
-    scanned = scan_sequence(CodeSequence(ev), certify_duality(ev), "hermitian")
+    scanned = scan_sequence(CodeSequence(ev), "hermitian")
     assert [params for _, params in scanned] + [None] == made  # None: the gate closed
 
 
@@ -132,7 +132,7 @@ def test_sequence_rows_are_levels_of_the_scan():
             ev = evaluation_set_from_json(CATALOGUE[curve])
             seq = CodeSequence(ev)
             levels = at if construction == "C" else [seq.ms.index(m) + 1 for m in at]
-            scanned = dict(scan_sequence(seq, certify_duality(ev), construction, max_i=max(levels)))
+            scanned = dict(scan_sequence(seq, construction, max_i=max(levels)))
             assert [scanned[i] for i in levels] == rows, (identifier, curve)
 
 
