@@ -263,12 +263,12 @@ class TraceTable:
 
     The rows are the all-ones row, then Tr(alpha^j f) for alpha^j over a
     basis of the big field over the small one and f over the nonconstant
-    monomial basis functions that are not q0-th powers of smaller basis
-    functions (their traces repeat), in pole order; poles holds the pole of
-    each f.  The table covers the poles up to top.  A row depends on its
-    pole, never on m (see PointedCurve.basis_table), so every m takes a
-    prefix, and a larger m replaces the table by one that evaluates only the
-    new poles.  rows is read-only; over GF(2) it holds the rows packed
+    monomial basis functions whose pole is not q0 times a nongap (their
+    traces lie in the span of the rows below, see _grow), in pole order;
+    poles holds the pole of each f.  The table covers the poles up to top.
+    A row depends on its pole, never on m (see PointedCurve.basis_table), so
+    every m takes a prefix, and a larger m replaces the table by one that
+    evaluates only the new poles.  rows is read-only; over GF(2) it holds the rows packed
     (linalg.GF2Echelon.pack), an eighth of the bytes, and echelon is their
     GF2Echelon, extended only as far as a code has asked for: its entries
     from a prefix are that prefix's echelon.
@@ -305,10 +305,13 @@ class TraceTable:
 
     def _grow(self, m):
         ev, q0 = self.evset, self.small.order
-        poles, expos = ev.curve.basis_table(ev.dimension_set()[-1], q0)  # capped where the code stabilizes
+        poles, expos = ev.curve.basis_table(ev.dimension_set()[-1])  # capped where the code stabilizes
         new = slice(np.searchsorted(poles, self.top, side="right"), np.searchsorted(poles, m, side="right"))
         rho = poles[new]
-        keep = (rho > 0) & ~((rho % q0 == 0) & np.isin(rho // q0, poles))  # not a q0-th power of a basis function
+        # at a pole q0 s, s a nongap with basis function f, the basis function is c f^q0 plus functions
+        # of lower pole, whatever the basis, and Tr(beta f^q0) = Tr(beta^(1/q0) f): its trace rows lie
+        # in the span of the rows kept below it
+        keep = (rho > 0) & ~((rho % q0 == 0) & np.isin(rho // q0, poles))
         if keep.any():
             rows = self._stored(self.emb.trace_rows(ev.monomial_rows(expos[new][keep])))
             self.rows = np.concatenate([self.rows, rows])  # a new array: rows handed out before stay as they were
@@ -334,17 +337,12 @@ def _trace_table(evset, small):
 
 
 def trace_rows(evset, m, small):
-    """Spanning rows of the descended code, read-only, from the set's trace table (see TraceTable).
+    """(poles, rows) of the descended code, read-only, from the set's trace table (see TraceTable).
 
-    Row 0 is the all-ones row; blocks lists (pole order, its ratio-many row
-    indices), function by function.  For m < 0, C(mQ) = 0: no rows, no blocks.
+    Row 0 is the all-ones row, then ratio-many rows per pole in poles, function
+    by function.  For m < 0, C(mQ) = 0: no poles, no rows.
     """
-    table = _trace_table(evset, small)
-    poles, rows = table.prefix(m)
-    r = table.emb.ratio
-    blocks = [(0, [0])] if m >= 0 else []
-    blocks += [(rho, list(range(1 + t * r, 1 + (t + 1) * r))) for t, rho in enumerate(poles.tolist())]
-    return rows, blocks
+    return _trace_table(evset, small).prefix(m)
 
 
 def trace_code(evset, m, small):
@@ -356,22 +354,23 @@ def incomplete_trace_search(evset, m, small):
     """Self-orthogonal subcode of the descended code by dropping trace rows.
 
     Keeps the all-ones row and all earlier blocks; removes up to ratio-1 rows
-    from the last function block.  Fewer trace rows mean a smaller stabilizer,
-    so the most removals are tried first, each removal count in deterministic
-    lexicographic order.  A candidate wins if it is self-orthogonal and its
+    from the last function's block, the last ratio rows, and none when the
+    only kept function of L(mQ) is the constant.  Fewer trace rows mean a
+    smaller stabilizer, so the most removals are tried first, each removal
+    count in deterministic lexicographic order.  A candidate wins if it is self-orthogonal and its
     dual distance still equals the full descended code's.  Returns
     (code, dropped_row_indices) or None if no subset works; raises
     OverBudget when the full descended code's dual distance is over budget.
     """
-    rows, blocks = trace_rows(evset, m, small)
+    poles, rows = trace_rows(evset, m, small)
     full = LinearCode(small, evset.n, rows)
     target_d, target_status = full.dual().min_weight()
     if target_status != "exact":
         raise OverBudget("full trace code's dual distance is over budget; raise CASTLEQEC_BUDGET")
-    last_idxs = blocks[-1][1] if blocks else []  # m < 0: the zero code, which drops nothing
     r = embedding(small, evset.field).ratio
+    last = range(len(rows) - r, len(rows)) if len(poles) else ()  # no function block: nothing to drop
     for t in range(r - 1, -1, -1):
-        for dropped in itertools.combinations(last_idxs, t):
+        for dropped in itertools.combinations(last, t):
             keep = [i for i in range(rows.shape[0]) if i not in dropped]
             cand = LinearCode(small, evset.n, rows[keep])
             if not cand.is_self_orthogonal("euclidean"):

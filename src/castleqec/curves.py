@@ -43,7 +43,7 @@ class PointedCurve:
         assert self.affine_coords.shape[0] == len(self.generator_names)
         self.semigroup = NumericalSemigroup(self.pole_orders)
         self.genus = self.semigroup.genus
-        self._basis_tables = {}  # power base or None -> (top, poles, exponents), see basis_table
+        self._basis_table = None  # (top, poles, exponents), see basis_table
 
     @property
     def num_affine_points(self):
@@ -67,37 +67,31 @@ class PointedCurve:
         except ValueError:
             raise ValueError(f"curve {self.tag!r} has no generator {name!r}") from None
 
-    def basis_exponents(self, m, power_base=None):
+    def basis_exponents(self, m):
         """Monomial basis of L(mQ) as [(pole order, exponent tuple)], pole ascending (see basis_table)."""
-        poles, expos = self.basis_table(m, power_base)
+        poles, expos = self.basis_table(m)
         return list(zip(poles.tolist(), map(tuple, expos.tolist())))
 
-    def basis_table(self, m, power_base=None):
+    def basis_table(self, m):
         """(poles, exponents) of the monomial basis of L(mQ): read-only arrays, row i for the i-th nongap.
 
         One monomial per nongap: the first exponent tuple in product order
         realizing that pole order, i.e. each exponent in turn as small as the
         later generators allow: generator j, of pole order v, takes (s - t)/v
         of the remainder s, for the largest t <= s, t = s (mod v), they reach.
-        With power_base = q0, whenever a pole order is q0 times another nongap
-        the basis function is literally the q0-th power of the lower one,
-        which the trace constructions rely on.
 
         A row depends only on its pole s, never on m: t runs over the reach
-        below s, and a chain of t q0-th powers ending at s has s >= q0^t, so
-        the passes of a table to any top >= s settle it.  So the curve keeps
-        one table per power base, built again only for a larger m, and every
-        m takes its prefix with pole <= m.
+        below s, so a table to any top >= s settles it.  So the curve keeps
+        one table, built again only for a larger m, and every m takes its
+        prefix with pole <= m.
         """
-        key = power_base if power_base is not None and power_base > 1 else None
-        table = self._basis_tables.get(key)
-        if table is None or table[0] < m:
-            table = self._basis_tables[key] = self._build_basis_table(max(m, 0), key)
-        _, poles, expos = table
+        if self._basis_table is None or self._basis_table[0] < m:
+            self._basis_table = self._build_basis_table(max(m, 0))
+        _, poles, expos = self._basis_table
         end = np.searchsorted(poles, m, side="right")
         return poles[:end], expos[:end]
 
-    def _build_basis_table(self, m, power_base):
+    def _build_basis_table(self, m):
         s = np.arange(m + 1)
         reach = [s == 0]  # reach[j][s]: s is a sum of multiples of pole_orders[j:]; built last first
         for v in reversed(self.pole_orders):
@@ -110,14 +104,6 @@ class PointedCurve:
             below = accumulate_classes(np.maximum, np.where(reach[j + 1], s, -1), v)  # the t of each s
             expos[:, j] = (rest - below[rest]) // v
             rest -= v * expos[:, j]
-        if power_base is not None:
-            low = nongaps // power_base
-            src = np.searchsorted(nongaps, low)  # <= the row itself, since low <= rho
-            hit = np.flatnonzero((nongaps % power_base == 0) & (nongaps[src] == low))
-            power = power_base
-            while power <= m:  # pass t settles every chain of t q0-th powers, whose top is >= q0^t
-                expos[hit] = power_base * expos[src[hit]]
-                power *= power_base
         nongaps.setflags(write=False)
         expos.setflags(write=False)
         return m, nongaps, expos
@@ -317,14 +303,14 @@ class EvaluationSet:
         rows = zip(poles[:end].tolist(), map(tuple, expos[:end].tolist()))
         return [(s, e) for s, e in rows if not S.contains(s - v)]
 
-    def basis_rows(self, m, power_base=None):
+    def basis_rows(self, m):
         """(pole orders, evaluation matrix) for the monomial basis of L(mQ).
 
         m is capped at the last dimension jump: the evaluated code never
         changes past it.  The basis is the prefix with pole <= m of the
         curve's table to that jump, which every m shares.
         """
-        poles, expos = self.curve.basis_table(self.dimension_set()[-1], power_base)
+        poles, expos = self.curve.basis_table(self.dimension_set()[-1])
         end = np.searchsorted(poles, m, side="right")
         return poles[:end].tolist(), self.monomial_rows(expos[:end])
 
@@ -428,7 +414,7 @@ def evaluation_set_from_text(text, source="descriptor"):
 
     The last MEMO_EVALUATION_SETS sets built are kept, keyed by the text
     itself, so the same text gets the same object back, with its curve,
-    semigroup, basis tables and trace tables.  Nothing may write to it: its
+    semigroup, basis table and trace tables.  Nothing may write to it: its
     arrays are read-only.  Only built sets are kept; an error is raised anew on every
     call.  The sharing pays only when one process loads a curve twice.
     """

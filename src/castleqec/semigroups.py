@@ -84,7 +84,9 @@ class NumericalSemigroup:
 
     def ell(self, m):
         """Number of members in [0, m] (the dimension of L(mQ) on a curve), for an int or an int array:
-        the m + 1 integers in [0, m] less the gaps among them."""
+        the m + 1 integers in [0, m] less the gaps among them; an int from the conductor on, exactly."""
+        if not isinstance(m, np.ndarray) and m >= self.conductor:
+            return int(m) + 1 - self.genus  # every gap lies below m, and m may exceed int64
         r = np.maximum(m + 1 - self._gaps.searchsorted(m, side="right"), 0)
         return r if isinstance(m, np.ndarray) else int(r)
 

@@ -113,6 +113,18 @@ def test_build_huge_m_terminates(capsys):
     assert code == 0
     (row,) = json_rows(out)
     assert (row["k"], row["d_exact"]) == (64, 1)
+    # past int64 the semigroup counts stay exact: l(m) = m + 1 - g from the conductor on
+    n, g = 64, 14
+    for m in (2**63 - 1, 2**63, 2**70):
+        code, out, _ = run_cli(capsys, "build", "--curve-file", SUZUKI, "--m", str(m))
+        assert code == 0
+        (row,) = json_rows(out)
+        assert (row["m"], row["k"], row["d_exact"]) == (m, 64, 1)
+        assert (row["abundance"], row["order"]) == (m - n + 1 - g, m + 2 - 2 * g)
+        code, out, _ = run_cli(capsys, "build", "--curve-file", SUZUKI, "--m", str(m), "--trace-to", "2")
+        assert code == 0
+        (row,) = json_rows(out)
+        assert (row["m"], row["k"], row["d_exact"]) == (m, 64, 1)
 
 
 def test_build_budget_env(monkeypatch, capsys):
@@ -286,7 +298,7 @@ def test_a_certified_scan_builds_the_basis_table_once(path, capsys, monkeypatch)
     # the duality certificate's Apery rows and the code sequence read one table, to the last dimension jump
     monkeypatch.setattr(curves, "_EVALUATION_SETS", collections.OrderedDict())  # the curve is built anew
     original, built = curves.PointedCurve._build_basis_table, []
-    monkeypatch.setattr(curves.PointedCurve, "_build_basis_table", lambda c, m, b: built.append(m) or original(c, m, b))
+    monkeypatch.setattr(curves.PointedCurve, "_build_basis_table", lambda c, m: built.append(m) or original(c, m))
     code, out, _ = run_cli(capsys, "scan", "--curve-file", str(path), "--construction", "C", "--max-i", "5")
     assert code == 0 and len(json_rows(out)) == 6
     ev = curves.evaluation_set_from_text(path.read_text())

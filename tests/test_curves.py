@@ -26,7 +26,6 @@ from helpers import (
     evaluate_function,
     hermitian_gf9,
     hermitian_gf16,
-    is_subfield_order,
     kernel_functions,
     maximal_2_6,
     maximal_gf64,
@@ -113,18 +112,6 @@ def test_basis_exponents_small():
     assert c.basis_exponents(0) == [(0, (0, 0))]
 
 
-def test_basis_power_base_override():
-    c = elliptic_gf4()
-    plain = dict(c.basis_exponents(8))
-    powered = dict(c.basis_exponents(8, power_base=2))
-    assert plain[8] == (1, 2)  # x y^2 comes first in product order
-    assert powered[8] == (4, 0)  # but as a square it must be (x^2)^2
-    assert powered[6] == (0, 2)
-    assert powered[4] == (2, 0)
-    # pole orders are untouched
-    assert sorted(plain) == sorted(powered)
-
-
 ROOT = Path(__file__).resolve().parent.parent
 CURVE_FILES = sorted(ROOT.glob("curves/*.json")) + sorted(ROOT.glob("perfbench/curves/*.json"))
 
@@ -139,7 +126,7 @@ def test_every_catalogue_entry_has_a_curve_file():
     assert len(CATALOGUE) == 12
 
 
-def box_walk_basis(curve, m, power_base=None):
+def box_walk_basis(curve, m):
     """Reference basis: walk the whole exponent box in itertools.product order."""
     if m < 0:
         return []
@@ -148,12 +135,7 @@ def box_walk_basis(curve, m, power_base=None):
         pole = sum(e * v for e, v in zip(tup, curve.pole_orders))
         if pole <= m and pole not in expo_of:
             expo_of[pole] = tup
-    nongaps = sorted(expo_of)
-    if power_base is not None and power_base > 1:
-        for rho in nongaps:
-            if rho % power_base == 0 and curve.semigroup.contains(rho // power_base):
-                expo_of[rho] = tuple(power_base * e for e in expo_of[rho // power_base])
-    return [(rho, expo_of[rho]) for rho in nongaps]
+    return [(rho, expo_of[rho]) for rho in sorted(expo_of)]
 
 
 def scalar_monomial(F, expo, point):
@@ -172,26 +154,20 @@ def test_basis_matches_box_walk_and_scalar_evaluation(path):
     key = [(pt[ev.fibration_index], pt) for pt in ev.points]
     assert key == sorted(key)
     top = ev.dimension_set()[-1]
-    subfields = [q0 for q0 in range(2, F.order) if is_subfield_order(F, q0)]
-    for power_base in [None, *subfields]:
-        for m in (-1, 0, top // 3, top):
-            assert curve.basis_exponents(m, power_base) == box_walk_basis(curve, m, power_base), (m, power_base)
-        # a pole's first tuple and its chain of q0-th powers depend only on lower
-        # poles, so the box walk to top, cut at m, is the basis of L(mQ) for every m
-        walked = box_walk_basis(curve, top, power_base)
-        for m in range(-1, top + 1):
-            assert curve.basis_exponents(m, power_base) == [b for b in walked if b[0] <= m], (m, power_base)
+    for m in (-1, 0, top // 3, top):
+        assert curve.basis_exponents(m) == box_walk_basis(curve, m), m
+    # a pole's first tuple depends only on lower poles, so the box walk to
+    # top, cut at m, is the basis of L(mQ) for every m
+    walked = box_walk_basis(curve, top)
+    for m in range(-1, top + 1):
+        assert curve.basis_exponents(m) == [b for b in walked if b[0] <= m], m
     # the points include zero coordinates, where 0^0 = 1 and 0^e = 0
     assert (ev.coords == 0).any()
-    scalar_rows = {}
-    for power_base in [None, *subfields]:
-        poles, rows = ev.basis_rows(top, power_base)
-        basis = curve.basis_exponents(top, power_base)
-        assert poles == [rho for rho, _ in basis] and rows.shape == (len(basis), ev.n)
-        for row, (_, expo) in zip(rows.tolist(), basis):
-            if expo not in scalar_rows:
-                scalar_rows[expo] = [scalar_monomial(F, expo, pt) for pt in ev.points]
-            assert row == scalar_rows[expo], expo
+    poles, rows = ev.basis_rows(top)
+    basis = curve.basis_exponents(top)
+    assert poles == [rho for rho, _ in basis] and rows.shape == (len(basis), ev.n)
+    for row, (_, expo) in zip(rows.tolist(), basis):
+        assert row == [scalar_monomial(F, expo, pt) for pt in ev.points], expo
     assert ev.basis_rows(-1)[1].shape == (0, ev.n)
 
 
@@ -393,7 +369,7 @@ def test_the_shared_evaluation_sets_stay_within_their_bound():
 
 def test_shared_arrays_refuse_writes():
     ev = evaluation_set_from_text(json.dumps(CATALOGUE["suzuki8"]))
-    poles, expos = ev.curve.basis_table(ev.dimension_set()[-1], 2)
+    poles, expos = ev.curve.basis_table(ev.dimension_set()[-1])
     S = ev.curve.semigroup
     for array in (ev.coords, ev.curve.affine_coords, poles, expos, S._member, S._gaps, S._nu):
         with pytest.raises(ValueError, match="read-only"):
@@ -415,14 +391,13 @@ def test_the_shared_basis_table_matches_an_uncached_curve_at_every_m(path):
     ev = evaluation_set_from_json(obj)
     fresh = EvaluationSet(curve_from_json(obj), obj.get("fibration"), obj.get("subset"))
     assert fresh.curve is not ev.curve
-    top, F = ev.dimension_set()[-1], ev.field
+    top = ev.dimension_set()[-1]
     row_stride = 1 if ev.n < 1000 else 41  # every basis_rows(m) of suzuki32 would evaluate 10^9 entries
-    for power_base in [None, *(q0 for q0 in range(2, F.order) if is_subfield_order(F, q0))]:
-        ev.basis_rows(top, power_base)
-        for m in range(-1, top + 6):
-            fresh.curve._basis_tables.clear()  # the fresh curve builds its table to m alone
-            assert ev.curve.basis_exponents(m, power_base) == fresh.curve.basis_exponents(m, power_base), m
-            if m % row_stride == 0 or m >= top:
-                fresh.curve._basis_tables.clear()
-                (poles, rows), (want_poles, want_rows) = ev.basis_rows(m, power_base), fresh.basis_rows(m, power_base)
-                assert poles == want_poles and rows.shape == want_rows.shape and (rows == want_rows).all(), m
+    ev.basis_rows(top)
+    for m in range(-1, top + 6):
+        fresh.curve._basis_table = None  # the fresh curve builds its table to m alone
+        assert ev.curve.basis_exponents(m) == fresh.curve.basis_exponents(m), m
+        if m % row_stride == 0 or m >= top:
+            fresh.curve._basis_table = None
+            (poles, rows), (want_poles, want_rows) = ev.basis_rows(m), fresh.basis_rows(m)
+            assert poles == want_poles and rows.shape == want_rows.shape and (rows == want_rows).all(), m

@@ -28,13 +28,11 @@ def closed_form_trace_range(ev, small):
 
 def test_trace_rows_structure_suzuki():
     ev = evset(suzuki8)
-    rows, blocks = trace_rows(ev, 30, GF(2))
-    assert blocks[0] == (0, [0])
-    kept = [rho for rho, _ in blocks[1:]]
-    # powers of smaller basis functions are dropped: 16 = 8*2, 20, 24, 26
-    assert kept == [8, 10, 12, 13, 18, 21, 22, 23, 25, 28, 29, 30]
-    assert all(len(idxs) == 3 for _, idxs in blocks[1:])
-    assert rows.shape == (1 + 3 * len(kept), 64)
+    poles, rows = trace_rows(ev, 30, GF(2))
+    # poles twice a nongap are dropped: 16 = 8*2, 20, 24, 26
+    assert poles.tolist() == [8, 10, 12, 13, 18, 21, 22, 23, 25, 28, 29, 30]
+    assert rows.shape == (1 + 3 * len(poles), 64)  # the all-ones row, then 3 rows per pole
+    assert (rows[0] == 1).all()
 
 
 @pytest.mark.parametrize(
@@ -59,11 +57,10 @@ def test_trace_of_low_pole_functions_does_not_vanish():
     # pole rho with rho * q0^(r-1) < n guarantees a nonzero trace evaluation
     ev = evset(suzuki8)
     emb = embedding(GF(2), ev.field)
-    rows, blocks = trace_rows(ev, 15, GF(2))
-    for rho, idxs in blocks[1:]:
+    poles, rows = trace_rows(ev, 15, GF(2))
+    for t, rho in enumerate(poles.tolist()):
         assert rho * 2 ** (emb.ratio - 1) < ev.n
-        for i in idxs:
-            assert rows[i].any()
+        assert rows[1 + t * emb.ratio : 1 + (t + 1) * emb.ratio].any(axis=1).all()
 
 
 @pytest.mark.parametrize(
@@ -149,6 +146,23 @@ def test_incomplete_trace_hermitian_gf16():
     assert (d, status) == (3, "exact")
 
 
+@pytest.mark.parametrize(
+    "builder,small,m",
+    [(elliptic_gf4, 2, 0), (elliptic_gf4, 2, 1), (hermitian_gf9, 3, 0), (hermitian_gf16, 4, 1), (elliptic_gf4, 2, 3)],
+    ids=["elliptic4-m0", "elliptic4-m1", "hermitian9-m0", "hermitian16-m1", "elliptic4-m3"],
+)
+def test_every_incomplete_trace_candidate_keeps_the_all_ones_row(monkeypatch, builder, small, m):
+    # candidates drop rows of the last function's block only; with the constant alone, nothing
+    ev, small = evset(builder), GF(small)
+    candidates, original = [], LinearCode.is_self_orthogonal
+    monkeypatch.setattr(LinearCode, "is_self_orthogonal", lambda c, mode: candidates.append(c) or original(c, mode))
+    code, dropped = incomplete_trace_search(ev, m, small)
+    ones = LinearCode(small, ev.n, np.ones((1, ev.n), dtype=np.uint16))
+    assert candidates and all(c.contains_code(ones) for c in candidates)
+    if len(trace_rows(ev, m, small)[0]) == 0:
+        assert (candidates, dropped) == ([code], ()) and code == trace_code(ev, m, small)
+
+
 ROOT = Path(__file__).resolve().parent.parent
 CURVE_FILES = [
     *sorted(ROOT.glob("curves/*.json")),
@@ -168,7 +182,7 @@ def test_trace_rows_eliminate_alike_on_the_packed_and_table_paths(path):
     assert subfields
     for small in subfields:
         for m in sorted({ms[0], ms[len(ms) // 4], ms[len(ms) // 2], ms[-1]}):
-            rows, _ = trace_rows(ev, m, small)
+            _, rows = trace_rows(ev, m, small)
             binary = small.digits[rows].transpose(2, 0, 1).reshape(-1, n)
             R2, p2 = linalg.rref(GF(2), binary, n)
             R4, p4 = linalg.rref(GF(4), binary, n)
@@ -198,7 +212,7 @@ def test_the_trace_rows_of_a_64_point_curve_are_traced_at_once(monkeypatch):
         for m in evaluation_set_from_json(CATALOGUE[name]).dimension_set():
             ev = evaluation_set_from_json(CATALOGUE[name])  # a fresh set: its trace table starts empty
             calls.clear()
-            rows, _ = trace_rows(ev, m, GF(2))
+            _, rows = trace_rows(ev, m, GF(2))
             assert len(calls) == (len(rows) > 1), (name, m)
 
 
@@ -208,14 +222,16 @@ def proper_subfields(F):
 
 @pytest.mark.parametrize("path", CURVE_FILES, ids=lambda p: p.stem)
 def test_trace_code_is_the_trace_of_the_one_point_code_on_every_curve_file(path):
-    # C(-Q) = 0, so its trace is the zero code, not the span of the all-ones row
+    # C(-Q) = 0, so its trace is the zero code, not the span of the all-ones row; on the curves
+    # of up to 64 points every m of the dimension set, so every dropped pole, is compared
     ev = evaluation_set_from_json(json.loads(path.read_text()))
     ms = ev.dimension_set()
     assert proper_subfields(ev.field)
     for small in proper_subfields(ev.field):
-        for m in (-1, 0, ms[1], ms[len(ms) // 2], ms[-1]):
+        for m in [-1, *ms] if ev.n <= 64 else (-1, 0, ms[1], ms[len(ms) // 2], ms[-1]):
             assert trace_code(ev, m, small) == OnePointCode(ev, m).code.trace_code(small), (small, m)
-        assert trace_code(ev, -1, small).dimension == 0 and trace_rows(ev, -1, small)[1] == []
+        poles, rows = trace_rows(ev, -1, small)
+        assert trace_code(ev, -1, small).dimension == 0 and len(poles) == 0 and rows.shape == (0, ev.n)
 
 
 @pytest.mark.parametrize("path", CURVE_FILES, ids=lambda p: p.stem)
@@ -229,14 +245,14 @@ def test_codes_from_a_shared_trace_table_equal_codes_from_a_fresh_set(path):
     for m in asked:
         for small in subfields:
             fresh = evaluation_set_from_json(json.loads(text))
-            want[m, small.order] = trace_rows(fresh, m, small)[0].copy(), trace_code(fresh, m, small)
+            want[m, small.order] = trace_rows(fresh, m, small)[1].copy(), trace_code(fresh, m, small)
     shuffled = random.Random(path.stem).sample(asked, len(asked))
     for order in (asked, asked[::-1], shuffled):
         ev = evaluation_set_from_json(json.loads(text))
         for m in order:
             for small in subfields:
                 rows, code = want[m, small.order]
-                got = trace_rows(ev, m, small)[0]
+                got = trace_rows(ev, m, small)[1]
                 assert got.shape == rows.shape and (got == rows).all(), (small, m)
                 assert not got.flags.writeable
                 with pytest.raises(ValueError):
@@ -255,8 +271,8 @@ def test_a_sweep_holds_one_table_per_subfield_not_one_per_m():
     # what the set holds after 40 builds per subfield (codes over GF(2), which extend the echelon)
     ev = evaluation_set_from_json(CATALOGUE["maximal-gf64"])
     ms, subfields = ev.dimension_set(), proper_subfields(ev.field)
-    for small in subfields:  # the curve's basis table and the embeddings, which outlive any table
-        ev.curve.basis_table(ms[-1], small.order)
+    ev.curve.basis_table(ms[-1])  # the curve's basis table and the embeddings, which outlive any table
+    for small in subfields:
         embedding(small, ev.field)
     tracemalloc.start()
     try:
