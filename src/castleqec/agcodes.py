@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 
 from . import linalg
-from .codes import LinearCode, OverBudget
+from .codes import LinearCode, OverBudget, work_budget
 from .fields import embedding
 
 
@@ -271,7 +271,8 @@ class TraceTable:
     evaluates only the new poles.  rows is read-only; over GF(2) it holds the rows packed
     (linalg.GF2Echelon.pack), an eighth of the bytes, and echelon is their
     GF2Echelon, extended only as far as a code has asked for: its entries
-    from a prefix are that prefix's echelon.
+    from a prefix are that prefix's echelon.  reports holds trace_report's
+    fields per (rank, budget), ints and bools only, never a code.
     One table per (evaluation set, subfield): EvaluationSet.trace_tables.
     """
 
@@ -283,6 +284,7 @@ class TraceTable:
         self.echelon = linalg.GF2Echelon(evset.n) if small.order == 2 else None
         self.rows = self._stored(np.ones((1, evset.n), dtype=np.uint16))
         self.rows.setflags(write=False)
+        self.reports = {}
 
     def _stored(self, rows):
         return rows if self.echelon is None else linalg.GF2Echelon.pack(rows)
@@ -319,13 +321,17 @@ class TraceTable:
             self.poles = np.concatenate([self.poles, rho[keep]])
         self.top = m
 
-    def code(self, m):
-        """The trace code of C(mQ); over GF(2) from the echelon, which takes only rows it has not taken."""
-        if self.echelon is None:
-            return LinearCode(self.small, self.evset.n, self.prefix(m)[1])
+    def _taken(self, m):
+        """The end of C(mQ)'s rows, once the echelon has taken them: it takes only rows it has not taken."""
         _, end = self._extent(m)
         self.echelon.extend(self.rows[self.echelon.taken : end])
-        R, pivots = self.echelon.snapshot(end)
+        return end
+
+    def code(self, m):
+        """The trace code of C(mQ); over GF(2) from the echelon."""
+        if self.echelon is None:
+            return LinearCode(self.small, self.evset.n, self.prefix(m)[1])
+        R, pivots = self.echelon.snapshot(self._taken(m))
         return LinearCode.from_rref(self.small, self.evset.n, R, pivots)
 
 
@@ -348,6 +354,22 @@ def trace_rows(evset, m, small):
 def trace_code(evset, m, small):
     """The trace of C(mQ) down to the subfield, as a LinearCode."""
     return _trace_table(evset, small).code(m)
+
+
+def trace_report(evset, m, small):
+    """(k, fields): the dimension and report_fields of trace_code(evset, m, small), worked out once per code.
+
+    Prefixes of equal rank span one code, so the table keeps the fields per
+    (rank, work_budget()).  Over GF(2) the echelon gives the rank with no
+    back-substitution; over other subfields it is the built code's dimension.
+    """
+    table = _trace_table(evset, small)
+    code = None if table.echelon is not None else trace_code(evset, m, small)
+    k = table.echelon.rank(table._taken(m)) if code is None else code.dimension
+    key = (k, work_budget())
+    if key not in table.reports:
+        table.reports[key] = report_fields(trace_code(evset, m, small) if code is None else code)
+    return k, table.reports[key]
 
 
 def incomplete_trace_search(evset, m, small):

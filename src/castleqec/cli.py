@@ -11,7 +11,7 @@ import functools
 import json
 import sys
 
-from .agcodes import CodeSequence, OnePointCode, report_fields, trace_code
+from .agcodes import CodeSequence, OnePointCode, trace_report
 from .curves import evaluation_set_from_text
 from .fields import GF, UnsupportedFieldError, prime_power
 from .quantum import gv_status, gv_terms, scan_sequence
@@ -93,16 +93,8 @@ def cmd_build(args):
     if args.trace_to is None:
         row = OnePointCode(ev, args.m).report_row()
     else:
-        small = GF(args.trace_to)
-        code = trace_code(ev, args.m, small)
-        row = {
-            "curve": ev.curve.tag,
-            "n": code.n,
-            "m": args.m,
-            "trace_field": small.order,
-            "k": code.dimension,
-            **report_fields(code),
-        }
+        k, fields = trace_report(ev, args.m, GF(args.trace_to))
+        row = {"curve": ev.curve.tag, "n": ev.n, "m": args.m, "trace_field": args.trace_to, "k": k, **fields}
     emit_rows([row], args.format)
     return 0
 

@@ -124,7 +124,11 @@ class LinearCode:
     def is_self_orthogonal(self, mode="euclidean"):
         """Whether C is contained in its (Euclidean or Hermitian) dual; an unknown mode raises.
 
-        Both duals have dimension n - k, so 2k > n answers False with no Gram product.
+        Both duals have dimension n - k, so 2k > n answers False with no Gram
+        product.  Else G is formed in row blocks, linalg._BLOCK // n rows and
+        then twice the rows done, each paired with the rows up to its end (G
+        is symmetric, or Frobenius-symmetric, so this covers it), and the
+        first block that pairs nonzero answers False.
         """
         if self.dimension == 0:
             return True
@@ -134,7 +138,12 @@ class LinearCode:
             other = self.field.pow_table(self.field.sqrt_order())[self.matrix]
         else:
             raise ValueError(f"unknown orthogonality mode {mode!r}")
-        return 2 * self.dimension <= self.n and not linalg.matmul(self.field, self.matrix, other.T).any()
+        if 2 * self.dimension > self.n:
+            return False
+        b, end = 0, max(1, linalg._BLOCK // self.n)
+        while b < self.dimension and not linalg.matmul(self.field, self.matrix[b:end], other[:end].T).any():
+            b, end = end, 2 * end
+        return b >= self.dimension
 
     def trace_code(self, small):
         """The code {(Tr(c_1), ..., Tr(c_n)) : c in C} over the subfield."""

@@ -53,14 +53,6 @@ class PointedCurve:
     def num_rational_points(self):
         return self.num_affine_points + 1  # the one place at infinity
 
-    @property
-    def is_castle(self):
-        """Symmetric semigroup and as many rational points as a Castle curve has."""
-        return (
-            self.semigroup.is_symmetric
-            and self.num_rational_points == self.field.order * self.semigroup.multiplicity + 1
-        )
-
     def generator_index(self, name):
         try:
             return self.generator_names.index(name)
@@ -277,10 +269,6 @@ class EvaluationSet:
     @property
     def field(self):
         return self.curve.field
-
-    @property
-    def points(self):
-        return [tuple(int(v) for v in self.coords[:, j]) for j in range(self.n)]
 
     def abundance(self, m):
         """dim L(mQ - D) = number of basis functions evaluating inside the kernel."""

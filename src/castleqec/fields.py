@@ -157,9 +157,6 @@ class Field:
     def add(self, a, b):
         return int(self.add_table[a, b])
 
-    def sub(self, a, b):
-        return int(self.add_table[a, self.neg_table[b]])
-
     def neg(self, a):
         return int(self.neg_table[a])
 
@@ -170,9 +167,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inverting 0")
         return int(self.inv_table[a])
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def pow(self, a, e):
         if e < 0:
@@ -204,11 +198,6 @@ class Field:
         for c in reversed(coeffs):
             vals = self.add_table[self.mul_table[vals, t], c]
         return vals
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self):
-        return {"p": self.p, "k": self.k, "modulus": [int(c) for c in self.modulus]}
 
     def __repr__(self):
         return f"GF({self.order})"

@@ -108,6 +108,10 @@ class GF2Echelon:
                 self.leads.append(lead)
         self.taken += len(packed)
 
+    def rank(self, c=None):
+        """The rank of the first c rows taken (all of them by default): the entries they created."""
+        return len(self.sources) if c is None else bisect.bisect_left(self.sources, c)
+
     def snapshot(self, c=None):
         """(R, pivots): the rref of the first c rows taken (all of them by default), as rref returns it.
 
@@ -116,7 +120,7 @@ class GF2Echelon:
         other pivot, and one XOR per set bit of v & done reduces v.
         """
         n = self.n
-        count = len(self.sources) if c is None else bisect.bisect_left(self.sources, c)
+        count = self.rank(c)
         reduced, done = {}, 0
         for lead in sorted(self.leads[:count]):
             v = self.entries[lead]

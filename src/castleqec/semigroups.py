@@ -99,10 +99,6 @@ class NumericalSemigroup:
             return self.elements_up_to(self.conductor - 1)[r - 1]
         return self.conductor + (r - below - 1)
 
-    @property
-    def is_symmetric(self):
-        return self.conductor == 2 * self.genus
-
     def dimension_set(self, n):
         """The n pole orders where an n-point evaluation code grows: S minus (n + S)."""
         out = [s for s in self.elements_up_to(n + self.conductor) if not self.contains(s - n)]

@@ -83,6 +83,17 @@ def random_code(rng, q, k, n):
     return LinearCode(GF(q), n, rows)
 
 
+def spy(monkeypatch, owner, name, calls):
+    """Wrap owner.name (a function, or a method of the class owner): each call appends (name, args) to calls."""
+    original = getattr(owner, name)
+
+    def spying(*args, **kwargs):
+        calls.append((name, args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spying)
+
+
 def count_enumerations(monkeypatch):
     """Empty the weight memo; returns the list of G shapes the engine is given from now on."""
     codes._enumerated.cache_clear()
@@ -96,6 +107,37 @@ def count_enumerations(monkeypatch):
 
     monkeypatch.setattr(kernels, "enumerate_weights", counting)
     return seen
+
+
+# -- scalar field arithmetic, set points and Castle tests, for tests only ----------
+
+
+def field_sub(F, a, b):
+    return int(F.add_table[a, F.neg_table[b]])
+
+
+def field_div(F, a, b):
+    return F.mul(a, F.inv(b))  # F.inv(0) raises ZeroDivisionError
+
+
+def field_json(F):
+    """The descriptor field_from_json reads back as F."""
+    return {"p": F.p, "k": F.k, "modulus": [int(c) for c in F.modulus]}
+
+
+def points(ev):
+    """The evaluation points of ev as coordinate tuples, in the set's order."""
+    return [tuple(int(v) for v in ev.coords[:, j]) for j in range(ev.n)]
+
+
+def is_symmetric(S):
+    return S.conductor == 2 * S.genus
+
+
+def is_castle(curve):
+    """Symmetric semigroup and as many rational points as a Castle curve has."""
+    S = curve.semigroup
+    return is_symmetric(S) and curve.num_rational_points == curve.field.order * S.multiplicity + 1
 
 
 # -- oracles -----------------------------------------------------------------------

@@ -3,23 +3,25 @@
 import collections
 import functools
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from castleqec import cli, curves
+from castleqec import cli, curves, linalg
 from castleqec.agcodes import CodeSequence
 from castleqec.curves import CATALOGUE
 from castleqec.quantum import gv_terms
-from helpers import count_enumerations
+from helpers import count_enumerations, spy
 
 ROOT = Path(__file__).resolve().parent.parent
 CURVES = ROOT / "curves"
 SUZUKI = str(CURVES / "suzuki8.json")
 ELLIPTIC4 = str(CURVES / "elliptic-gf4.json")
 HERMITIAN9 = str(CURVES / "hermitian-gf9.json")
+HERMITIAN16 = str(CURVES / "hermitian-gf16.json")
 TWISTED9 = str(CURVES / "twisted-gf9.json")
 HYPER45 = str(CURVES / "hyper-even-45.json")
 NTQ = str(CURVES / "ntq-2-4-3.json")
@@ -88,6 +90,39 @@ def test_build_trace(capsys):
         "d_exact": 32,
         "self_orth": {"euclidean": True, "hermitian": None},
     }
+
+
+def test_a_trace_sweep_prints_the_rows_of_fresh_builds_and_snapshots_each_rank_once(capsys, monkeypatch):
+    # every m of two curves, shuffled: built on a fresh set each (an empty record), then in one sweep
+    argvs = [
+        ["build", "--curve-file", path, "--m", str(m), "--trace-to", "2", "--format", "csv"]
+        for path in (SUZUKI, HERMITIAN16)
+        for m in curves.evaluation_set_from_text(Path(path).read_text()).dimension_set()
+    ]
+    random.Random(29).shuffle(argvs)
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(curves, "_EVALUATION_SETS", collections.OrderedDict())
+        fresh.append(run_cli(capsys, *argv))
+    monkeypatch.setattr(curves, "_EVALUATION_SETS", collections.OrderedDict())
+    snapshots = []
+    spy(monkeypatch, linalg.GF2Echelon, "snapshot", snapshots)
+    assert [run_cli(capsys, *argv) for argv in argvs] == fresh
+    echelons = [ev.trace_tables[2].echelon for ev in curves._EVALUATION_SETS.values()]
+    ranks = {(row[0], row[4]) for _, out, _ in fresh for row in [out.splitlines()[1].split(",")]}  # (curve, k)
+    assert len(echelons) == 2 and len(ranks) == 42
+    assert sum(args[0] is echelon for _, args in snapshots for echelon in echelons) == 42
+
+
+def test_a_trace_report_is_kept_per_budget(capsys, monkeypatch):
+    monkeypatch.setattr(curves, "_EVALUATION_SETS", collections.OrderedDict())
+    argv = ("build", "--curve-file", SUZUKI, "--m", "20", "--trace-to", "2")
+    monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
+    (at_one,) = json_rows(run_cli(capsys, *argv)[1])
+    monkeypatch.delenv("CASTLEQEC_BUDGET")
+    (at_default,) = json_rows(run_cli(capsys, *argv)[1])
+    assert "d_exact" not in at_one and at_default.pop("d_exact") == 16
+    assert at_one == at_default
 
 
 def test_build_csv(capsys):

@@ -3,6 +3,8 @@ import random
 import numpy as np
 import pytest
 
+from castleqec import linalg
+from castleqec.agcodes import CodeSequence, trace_code
 from castleqec.codes import (
     LinearCode,
     krawtchouk,
@@ -10,7 +12,17 @@ from castleqec.codes import (
     relative_min_weight,
 )
 from castleqec.fields import GF
-from helpers import contains_vector, count_enumerations, random_code, star, subfield_subcode
+from helpers import (
+    contains_vector,
+    count_enumerations,
+    evset,
+    hermitian_gf16,
+    random_code,
+    self_orthogonal_by_gram,
+    spy,
+    star,
+    subfield_subcode,
+)
 
 EXT_HAMMING = [
     [1, 0, 0, 0, 0, 1, 1, 1],
@@ -256,6 +268,55 @@ def test_an_unknown_orthogonality_mode_raises_past_half_length_too():
         assert not code.is_self_orthogonal("euclidean")
         with pytest.raises(ValueError, match="unknown orthogonality mode 'bogus'"):
             code.is_self_orthogonal("bogus")
+
+
+def pairs_code(first, last):
+    """A [16, 8] GF(2) code: the row first, rows e_2i + e_2i+1 for i = 1..6, then the row last."""
+    pairs = [[int(c // 2 == i) for c in range(16)] for i in range(1, 7)]
+    return LinearCode(GF(2), 16, [[int(c in first) for c in range(16)], *pairs, [int(c in last) for c in range(16)]])
+
+
+def test_the_gram_test_pairs_row_blocks_up_to_the_last(monkeypatch):
+    # 16 points and _BLOCK = 32: blocks of rows [0, 2), [2, 4) and [4, 8), each paired with the rows up to its end
+    monkeypatch.setattr(linalg, "_BLOCK", 32)
+    calls = []
+    spy(monkeypatch, linalg, "matmul", calls)
+    assert pairs_code({0, 1}, {14, 15}).is_self_orthogonal("euclidean")
+    assert [(A.shape, B.shape) for _, (_, A, B) in calls] == [((2, 16), (16, 2)), ((2, 16), (16, 4)), ((4, 16), (16, 8))]
+    calls.clear()
+    assert not pairs_code({0, 1}, {14}).is_self_orthogonal("euclidean")  # e_14 pairs only with itself, in the last block
+    assert len(calls) == 3
+
+
+def test_the_gram_test_stops_at_the_first_block_that_pairs_nonzero(monkeypatch):
+    monkeypatch.setattr(linalg, "_BLOCK", 32)
+    calls = []
+    spy(monkeypatch, linalg, "matmul", calls)
+    assert not pairs_code({0}, {14, 15}).is_self_orthogonal("euclidean")
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(linalg, "_BLOCK", 1 << 16)  # 4096 rows a block: a 16-point code is one product
+    assert pairs_code({0, 1}, {14, 15}).is_self_orthogonal("euclidean")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("rows_a_block", [1, 3])
+def test_row_blocks_answer_as_the_whole_gram_product(monkeypatch, rows_a_block):
+    # the flag of the 64-point Hermitian curve over GF(16) up to half length, and its trace codes to GF(4) and
+    # GF(2), in both forms where the field is square, against self_orthogonal_by_gram's one product
+    ev = evset(hermitian_gf16)
+    seq = CodeSequence(ev)
+    family = [seq.level(i) for i in range(33)]
+    family += [trace_code(ev, m, GF(q)) for q in (2, 4) for m in ev.dimension_set()[:40]]
+    monkeypatch.setattr(linalg, "_BLOCK", rows_a_block * ev.n)
+    answers = set()  # of the codes of more than one block
+    for code in family:
+        for mode in ("euclidean", "hermitian") if code.field.k % 2 == 0 else ("euclidean",):
+            answer = code.is_self_orthogonal(mode)
+            assert answer == self_orthogonal_by_gram(code, mode), (code, mode)
+            if code.dimension > rows_a_block:
+                answers.add(answer)
+    assert answers == {True, False}
 
 
 def test_trace_code_examples():

@@ -8,7 +8,7 @@ from castleqec.fields import (
     field_from_json,
     prime_power,
 )
-from helpers import decompose_vec, is_subfield_order, minimal_polynomial, poly_with_roots
+from helpers import decompose_vec, field_div, field_json, is_subfield_order, minimal_polynomial, poly_with_roots
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 64]
 
@@ -168,7 +168,7 @@ def test_division_errors():
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
     with pytest.raises(ZeroDivisionError):
-        F.div(1, 0)
+        field_div(F, 1, 0)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25])
@@ -337,7 +337,7 @@ def test_identity_embedding():
 def test_json_roundtrip():
     for q in [2, 4, 9, 16, 27]:
         F = GF(q)
-        obj = F.to_json()
+        obj = field_json(F)
         assert field_from_json(obj) is F
     with pytest.raises(ValueError):
         field_from_json({"p": 2, "k": 2, "modulus": [1, 0, 1]})  # reducible, non-canonical

@@ -36,6 +36,7 @@ from helpers import (
     hermitian_gf9,
     hermitian_gf16,
     hyper_even_45,
+    is_castle,
     ntq_gf16,
     star,
     suzuki8,
@@ -133,7 +134,7 @@ def test_construction_a_requires_exact_self_duality():
 
 def test_construction_b_twisted_gf9():
     ev = evset(twisted_gf9)
-    assert ev.curve.is_castle
+    assert is_castle(ev.curve)
     seq = CodeSequence(ev)
     cert = seq.cert
     assert cert.status == "formally-self-dual"

@@ -6,17 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from castleqec import fields, linalg
+from castleqec import codes, fields, linalg
 from castleqec.agcodes import (
     OnePointCode,
     incomplete_trace_search,
+    report_fields,
     trace_code,
+    trace_report,
     trace_rows,
 )
 from castleqec.codes import LinearCode
 from castleqec.curves import CATALOGUE, curve_from_json, evaluation_set_from_json
 from castleqec.fields import GF, embedding
-from helpers import elliptic_gf4, evset, hermitian_gf9, hermitian_gf16, suzuki8
+from helpers import elliptic_gf4, evset, hermitian_gf9, hermitian_gf16, spy, suzuki8
 
 
 def closed_form_trace_range(ev, small):
@@ -267,8 +269,37 @@ def test_codes_from_a_shared_trace_table_equal_codes_from_a_fresh_set(path):
             assert (table.echelon is not None) == (small.order == 2)
 
 
-def test_a_sweep_holds_one_table_per_subfield_not_one_per_m():
-    # what the set holds after 40 builds per subfield (codes over GF(2), which extend the echelon)
+@pytest.mark.parametrize("builder,q", [(suzuki8, 2), (hermitian_gf16, 2), (hermitian_gf16, 4)])
+def test_a_repeated_rank_is_reported_from_the_record(monkeypatch, builder, q):
+    # every m, shuffled, on one set: each report is the one of its code built on a set of its own, and an m
+    # whose rank was reported before weighs, Gram-tests and (over GF(2)) snapshots nothing
+    ev, small = evset(builder), GF(q)
+    ms = ev.dimension_set()
+    want = {}
+    for m in ms:
+        code = trace_code(evset(builder), m, small)
+        want[m] = code.dimension, report_fields(code)
+    calls = []
+    for owner, name in [
+        (linalg, "matmul"), (codes, "macwilliams_coefficient"), (linalg.GF2Echelon, "snapshot"), (LinearCode, "weights")
+    ]:
+        spy(monkeypatch, owner, name, calls)
+    reported, first_calls = set(), set()
+    for m in random.Random(q).sample(ms, len(ms)):
+        calls.clear()
+        assert trace_report(ev, m, small) == want[m], m
+        if want[m][0] in reported:
+            assert calls == [], m
+        first_calls.update(name for name, _ in calls)
+        reported.add(want[m][0])
+    assert len(reported) < len(ms) and {"matmul", "weights"} <= first_calls
+    assert ev.trace_tables[q].reports.keys() == {(k, codes.work_budget()) for k in reported}
+
+
+def test_a_sweep_holds_one_table_per_subfield_not_one_per_m(monkeypatch):
+    # what the set holds after 40 builds per subfield (codes over GF(2), which extend the echelon, and
+    # their reports, which hold ints and bools only: at budget 1, no weight memo keeps a code)
+    monkeypatch.setenv("CASTLEQEC_BUDGET", "1")
     ev = evaluation_set_from_json(CATALOGUE["maximal-gf64"])
     ms, subfields = ev.dimension_set(), proper_subfields(ev.field)
     ev.curve.basis_table(ms[-1])  # the curve's basis table and the embeddings, which outlive any table
@@ -278,7 +309,11 @@ def test_a_sweep_holds_one_table_per_subfield_not_one_per_m():
     try:
         for m in random.Random(5).sample(ms, 40):
             for small in subfields:
-                trace_code(ev, m, small) if small.order == 2 else trace_rows(ev, m, small)
+                if small.order == 2:
+                    trace_code(ev, m, small)
+                    trace_report(ev, m, small)
+                else:
+                    trace_rows(ev, m, small)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
